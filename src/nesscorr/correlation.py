@@ -69,6 +69,12 @@ class CorrelationMatrix:
     def eigenvalues(self) -> np.ndarray:
         return herm_eigvals(self.mat)
 
+    def blocks(self) -> tuple[CorrelationMatrix, CorrelationMatrix]:
+        """(C_L, C_R): views of the leading ``n_left`` block and the rest."""
+        nl = self.n_left
+        return (CorrelationMatrix(self.sites[:nl], self.mat[:nl, :nl], nl),
+                CorrelationMatrix(self.sites[nl:], self.mat[nl:, nl:], 0))
+
 
 def _fermi_kernel(kf: float, delta: int) -> float:
     # int_{-kf}^{kf} dk/2pi e^{-i delta k} = sin(kf delta) / (pi delta)
@@ -84,12 +90,21 @@ def _phase_integral(freq: float, k1: float, k2: float) -> complex:
     return (np.exp(1j * freq * k2) - np.exp(1j * freq * k1)) / (2j * np.pi * freq)
 
 
+# window weight w(k) of each kind, from the amplitudes (r_l, t_l, r_r, t_r)
+_WEIGHTS = {
+    "T": lambda r_l, t_l, r_r, t_r: abs(t_l) ** 2,
+    "L": lambda r_l, t_l, r_r, t_r: np.conj(t_l) * r_l,
+    "R": lambda r_l, t_l, r_r, t_r: np.conj(t_r) * r_r,
+}
+
+
 class _WindowIntegrals:
     """Oriented window integrals int_{kf_r}^{kf_l} w(k) e^{i f k} dk/2pi.
 
-    Closed forms for constant amplitudes, adaptive quadrature otherwise.
-    Values are memoized per (kind, frequency); a cache may be shared
-    between builds with the same model and bias.
+    ``kind`` names the weight: ``"T"`` = |t_l|^2, ``"L"`` = t_l^* r_l,
+    ``"R"`` = t_r^* r_r.  Closed forms for constant amplitudes, adaptive
+    quadrature otherwise.  Values are memoized per (kind, frequency); a
+    cache may be shared between builds with the same model and bias.
     """
 
     def __init__(self, model: ImpurityModel, bias: BiasConfig, cache=None):
@@ -97,61 +112,28 @@ class _WindowIntegrals:
         self.bias = bias
         self.cache = cache if cache is not None else {}
 
-    def _quad(self, weight, freq: float) -> complex:
-        k1, k2 = self.bias.kf_r, self.bias.kf_l
-        if k1 == k2:
-            return 0.0
-
-        def f(k):
-            return weight(k) * np.exp(1j * freq * k) / (2.0 * np.pi)
-
-        return adaptive_gauss_legendre(f, k1, k2, tol=ENTRY_TOL,
-                                       frequency=abs(freq))
-
-    def transmission(self, freq: float) -> complex:
-        key = ("T", freq)
+    def __call__(self, kind: str, freq: float) -> complex:
+        key = (kind, freq)
         value = self.cache.get(key)
         if value is None:
-            mirror = self.cache.get(("T", -freq))
+            weight = _WEIGHTS[kind]
+            mirror = self.cache.get(("T", -freq)) if kind == "T" else None
+            k1, k2 = self.bias.kf_r, self.bias.kf_l
             if mirror is not None:
                 value = np.conj(mirror)  # the weight T(k) is real
             elif isinstance(self.model, ConstantS):
-                t = abs(self.model.t_l) ** 2
-                value = t * _phase_integral(freq, self.bias.kf_r, self.bias.kf_l)
+                amps = (self.model.r_l, self.model.t_l, self.model.r_r,
+                        self.model.t_r)
+                value = weight(*amps) * _phase_integral(freq, k1, k2)
+            elif k1 == k2:
+                value = 0.0
             else:
-                value = self._quad(lambda k: self.model.transmission(k), freq)
-            self.cache[key] = value
-        return value
+                def f(k):
+                    return (weight(*self.model.amplitudes(k))
+                            * np.exp(1j * freq * k) / (2.0 * np.pi))
 
-    def cross_left(self, freq: float) -> complex:
-        # weight t_l^*(k) r_l(k)
-        key = ("L", freq)
-        value = self.cache.get(key)
-        if value is None:
-            if isinstance(self.model, ConstantS):
-                c = np.conj(self.model.t_l) * self.model.r_l
-                value = c * _phase_integral(freq, self.bias.kf_r, self.bias.kf_l)
-            else:
-                def weight(k):
-                    r_l, t_l, _, _ = self.model.amplitudes(k)
-                    return np.conj(t_l) * r_l
-                value = self._quad(weight, freq)
-            self.cache[key] = value
-        return value
-
-    def cross_right(self, freq: float) -> complex:
-        # weight t_r^*(k) r_r(k)
-        key = ("R", freq)
-        value = self.cache.get(key)
-        if value is None:
-            if isinstance(self.model, ConstantS):
-                c = np.conj(self.model.t_r) * self.model.r_r
-                value = c * _phase_integral(freq, self.bias.kf_r, self.bias.kf_l)
-            else:
-                def weight(k):
-                    _, _, r_r, t_r = self.model.amplitudes(k)
-                    return np.conj(t_r) * r_r
-                value = self._quad(weight, freq)
+                value = adaptive_gauss_legendre(f, k1, k2, tol=ENTRY_TOL,
+                                                frequency=abs(freq))
             self.cache[key] = value
         return value
 
@@ -165,13 +147,13 @@ def corr_entry_longrange(model: ImpurityModel, bias: BiasConfig,
     win = _WindowIntegrals(model, bias, cache)
     if j > 0 and m > 0:
         delta = j - m
-        return _fermi_kernel(bias.kf_r, delta) + win.transmission(-delta)
+        return _fermi_kernel(bias.kf_r, delta) + win("T", -delta)
     if j < 0 and m < 0:
         delta = j - m
-        return _fermi_kernel(bias.kf_l, delta) - win.transmission(delta)
+        return _fermi_kernel(bias.kf_l, delta) - win("T", delta)
     if j > 0 and m < 0:
-        return win.cross_left(-(j + m))
-    return -win.cross_right(j + m)
+        return win("L", -(j + m))
+    return -win("R", j + m)
 
 
 def corr_entry_full(model: ImpurityModel, bias: BiasConfig,
@@ -250,23 +232,31 @@ def corr_entry_full(model: ImpurityModel, bias: BiasConfig,
     return left_sea(fl) + right_sea(fr)
 
 
+def _toeplitz(lag: np.ndarray) -> np.ndarray:
+    # square matrix with entry [p, q] = lag[p - q + size - 1]
+    size = (len(lag) + 1) // 2
+    idx = np.arange(size)
+    return lag[idx[:, None] - idx[None, :] + size - 1]
+
+
 def build_corr_matrix(model: ImpurityModel, bias: BiasConfig, g: Geometry,
                       subsystem: str, mode: str = "longrange",
                       cache=None) -> CorrelationMatrix:
     """Correlation matrix of A_L, A_R or A = A_L union A_R.
 
-    Sites are listed in ascending physical order: the whole A_L block
-    (when present) precedes the A_R block.  ``mode`` selects the
-    long-range kernel or the finite-distance quadrature.
+    The whole of A is built, its sites in ascending physical order (the
+    A_L block precedes the A_R block); ``"A_L"`` and ``"A_R"`` return the
+    matching view from :meth:`CorrelationMatrix.blocks`.  ``mode`` selects
+    the long-range kernel or the finite-distance quadrature.
     """
     if subsystem not in ("A_L", "A_R", "A"):
         raise DomainError(f"unknown subsystem {subsystem!r}")
     if mode not in ("longrange", "full"):
         raise DomainError(f"unknown mode {mode!r}")
-    left = g.left_sites() if subsystem in ("A_L", "A") else np.array([], dtype=int)
-    right = g.right_sites() if subsystem in ("A_R", "A") else np.array([], dtype=int)
+    left, right = g.left_sites(), g.right_sites()
     sites = np.concatenate([left, right])
-    n = len(sites)
+    nl, nr = len(left), len(right)
+    n = nl + nr
     mat = np.zeros((n, n), dtype=complex)
 
     if mode == "full":
@@ -275,29 +265,22 @@ def build_corr_matrix(model: ImpurityModel, bias: BiasConfig, g: Geometry,
                 mat[p, q] = corr_entry_full(model, bias, sites[p], sites[q], g.m0)
     else:
         win = _WindowIntegrals(model, bias, cache)
-        nl, nr = len(left), len(right)
         # sites within each block are consecutive integers, so the site
         # difference equals the position difference: Toeplitz fill by lag
-        if nl:
-            lag = np.array([_fermi_kernel(bias.kf_l, d) - win.transmission(d)
-                            for d in range(-(nl - 1), nl)])
-            idx = np.arange(nl)
-            mat[:nl, :nl] = lag[idx[:, None] - idx[None, :] + nl - 1]
-        if nr:
-            lag = np.array([_fermi_kernel(bias.kf_r, d) + win.transmission(-d)
-                            for d in range(-(nr - 1), nr)])
-            idx = np.arange(nr)
-            mat[nl:, nl:] = lag[idx[:, None] - idx[None, :] + nr - 1]
-        if nl and nr:
-            # cross entries depend on the site sum only (Hankel-like)
-            base = int(left[0] + right[0])
-            anti = np.array([-win.cross_right(base + s)
-                             for s in range(nl + nr - 1)])
-            ql = np.arange(nl)
-            pr = np.arange(nr)
-            mat[:nl, nl:] = anti[ql[:, None] + pr[None, :]]
+        mat[:nl, :nl] = _toeplitz(np.array(
+            [_fermi_kernel(bias.kf_l, d) - win("T", d) for d in range(1 - nl, nl)]))
+        mat[nl:, nl:] = _toeplitz(np.array(
+            [_fermi_kernel(bias.kf_r, d) + win("T", -d) for d in range(1 - nr, nr)]))
+        # cross entries depend on the site sum only (Hankel-like)
+        base = int(left[0] + right[0])
+        anti = np.array([-win("R", base + s) for s in range(n - 1)])
+        mat[:nl, nl:] = anti[np.arange(nl)[:, None] + np.arange(nr)[None, :]]
 
     # exact Hermitian storage: conjugate the computed triangle downward
     upper = np.triu(mat, 1)
     mat = np.diag(np.real(np.diag(mat))).astype(complex) + upper + upper.conj().T
-    return CorrelationMatrix(sites=sites, mat=mat, n_left=len(left))
+    c_a = CorrelationMatrix(sites=sites, mat=mat, n_left=nl)
+    if subsystem == "A":
+        return c_a
+    c_l, c_r = c_a.blocks()
+    return c_l if subsystem == "A_L" else c_r

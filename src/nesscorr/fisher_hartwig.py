@@ -141,6 +141,16 @@ def toeplitz_from_symbol(s: PiecewiseSymbol, m: int) -> np.ndarray:
     return coeffs[idx[:, None] - idx[None, :] + m - 1]
 
 
+def symbol_linear_coeff(s: PiecewiseSymbol) -> complex:
+    """Coefficient of M in the symbol's FH expansion: the mean of ln phi."""
+    if not s.jumps:
+        return complex(np.log(s.values[0]))
+    th = np.asarray(s.jumps, dtype=float)
+    ends = np.append(th[1:], th[0] + TWO_PI)
+    vals = np.asarray(s.values, dtype=complex)
+    return complex(np.sum((ends - th) * np.log(vals)) / TWO_PI)
+
+
 def fh_logdet_asym(s: PiecewiseSymbol, m: int,
                    angle_differences: bool = False) -> complex:
     """Fisher-Hartwig asymptotics of ln det of the symbol's M x M matrix.
@@ -154,13 +164,10 @@ def fh_logdet_asym(s: PiecewiseSymbol, m: int,
     if m < 1:
         raise DomainError(f"matrix size {m} must be >= 1")
     if not s.jumps:
-        return m * complex(np.log(s.values[0]))
+        return m * symbol_linear_coeff(s)
     beta = s.beta_exponents()
     th = np.asarray(s.jumps, dtype=float)
-    vals = np.asarray(s.values, dtype=complex)
-    ends = np.append(th[1:], th[0] + TWO_PI)
-    linear = m * np.sum((ends - th) * np.log(vals)) / TWO_PI
-    total = linear - np.sum(beta ** 2) * math.log(m)
+    total = m * symbol_linear_coeff(s) - np.sum(beta ** 2) * math.log(m)
     for r1 in range(len(th)):
         for r2 in range(r1 + 1, len(th)):
             if angle_differences:

@@ -102,11 +102,9 @@ def _degenerate_distance(g: Geometry) -> int:
 
 def _numeric_measures(cfg: ExperimentConfig, g: Geometry,
                       cache: dict | None = None) -> dict:
-    """Spectra-backed measure values, computing each matrix once."""
-    cache = {} if cache is None else cache
-    c_l = build_corr_matrix(cfg.model, cfg.bias, g, "A_L", cfg.mode, cache)
-    c_r = build_corr_matrix(cfg.model, cfg.bias, g, "A_R", cfg.mode, cache)
+    """Spectra-backed measure values from one build of C_A per point."""
     c_a = build_corr_matrix(cfg.model, cfg.bias, g, "A", cfg.mode, cache)
+    c_l, c_r = c_a.blocks()
     out = {}
     for m in cfg.measures:
         if m == "MI":
@@ -347,7 +345,7 @@ def run_fh_validation(m_values=(256, 512, 1024), transmission=0.3,
                 asym.append(fisher_hartwig.fh_logdet_asym(symbol, m))
             diffs = [e.real - a.real for e, a in zip(exact, asym)]
             # remove the known linear term, then fit b*ln M + c through the ends
-            lin = symbol_linear_coeff(symbol).real
+            lin = fisher_hartwig.symbol_linear_coeff(symbol).real
             y = [e.real - lin * m for e, m in zip(exact, m_values)]
             b_fit = (y[-1] - y[0]) / (np.log(m_values[-1]) - np.log(m_values[0]))
             out.append({
@@ -360,16 +358,6 @@ def run_fh_validation(m_values=(256, 512, 1024), transmission=0.3,
                 "lnm_coeff_expected": float(target.real),
             })
     return out
-
-
-def symbol_linear_coeff(symbol: fisher_hartwig.PiecewiseSymbol) -> complex:
-    """Coefficient of M in the symbol's FH expansion: the mean of ln phi."""
-    if not symbol.jumps:
-        return complex(np.log(symbol.values[0]))
-    th = np.asarray(symbol.jumps, dtype=float)
-    ends = np.append(th[1:], th[0] + 2 * np.pi)
-    vals = np.asarray(symbol.values, dtype=complex)
-    return complex(np.sum((ends - th) * np.log(vals)) / (2 * np.pi))
 
 
 # ---------------------------------------------------------------------------

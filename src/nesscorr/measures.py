@@ -144,6 +144,21 @@ def _xi_spectrum(c_a: CorrelationMatrix, size_left: int) -> tuple[np.ndarray, in
     return result
 
 
+def _xi_negativity(c_a: CorrelationMatrix, size_left: int, n: int, kernel,
+                   label: str) -> MeasureResult:
+    """sum_xi ln kernel(xi) + (n/2) Tr ln[C^2 + (I - C)^2], imaginary part gated."""
+    xi, clamped = _xi_spectrum(c_a, size_left)
+    s1 = complex(np.sum(np.log(kernel(xi))))
+    total = s1 + _occupation_log_sum(c_a, 0.5 * n)
+    residual = abs(total.imag)
+    if residual > IMAG_BUDGET:
+        raise BranchError(
+            f"{label} imaginary residual {residual:.3e} exceeds {IMAG_BUDGET}; "
+            "a C_Xi eigenvalue left the real axis or crossed the square-root cut")
+    return MeasureResult(value=float(total.real), imag_residual=residual,
+                         clamped_count=clamped)
+
+
 def fermionic_negativity(c_a: CorrelationMatrix, size_left: int) -> MeasureResult:
     """Fermionic negativity E (the n -> 1 continuation, exponent 1/2).
 
@@ -151,17 +166,8 @@ def fermionic_negativity(c_a: CorrelationMatrix, size_left: int) -> MeasureResul
     to the branch cut shows up as a nonzero imaginary residual rather
     than being silently absorbed.
     """
-    xi, clamped = _xi_spectrum(c_a, size_left)
-    terms = np.log(np.sqrt(xi) + np.sqrt(1.0 - xi))
-    s1 = complex(np.sum(terms))
-    total = s1 + _occupation_log_sum(c_a, 0.5)
-    residual = abs(total.imag)
-    if residual > IMAG_BUDGET:
-        raise BranchError(
-            f"negativity imaginary residual {residual:.3e} exceeds "
-            f"{IMAG_BUDGET}; an eigenvalue crossed the square-root cut")
-    return MeasureResult(value=float(total.real), imag_residual=residual,
-                         clamped_count=clamped)
+    return _xi_negativity(
+        c_a, size_left, 1, lambda xi: np.sqrt(xi) + np.sqrt(1.0 - xi), "negativity")
 
 
 def _check_even(n) -> int:
@@ -173,16 +179,10 @@ def _check_even(n) -> int:
 def renyi_negativity_eig(c_a: CorrelationMatrix, size_left: int, n) -> MeasureResult:
     """Renyi negativity E_n from the spectra of C_Xi and C."""
     n = _check_even(n)
-    xi, clamped = _xi_spectrum(c_a, size_left)
     half = n // 2
-    s1 = complex(np.sum(np.log(xi ** half + (1.0 - xi) ** half)))
-    total = s1 + _occupation_log_sum(c_a, 0.5 * n)
-    residual = abs(total.imag)
-    if residual > IMAG_BUDGET:
-        raise BranchError(
-            f"Renyi negativity imaginary residual {residual:.3e} exceeds {IMAG_BUDGET}")
-    return MeasureResult(value=float(total.real), imag_residual=residual,
-                         clamped_count=clamped)
+    return _xi_negativity(c_a, size_left, n,
+                          lambda xi: xi ** half + (1.0 - xi) ** half,
+                          "Renyi negativity")
 
 
 def renyi_negativity_det(c_a: CorrelationMatrix, size_left: int, n) -> MeasureResult:

@@ -46,8 +46,7 @@ def _measure_set(model, bias, g, cache, names):
     out = {}
     c_a = build_corr_matrix(model, bias, g, "A", cache=cache)
     if "MI" in names or "MI2" in names:
-        c_l = build_corr_matrix(model, bias, g, "A_L", cache=cache)
-        c_r = build_corr_matrix(model, bias, g, "A_R", cache=cache)
+        c_l, c_r = c_a.blocks()
         if "MI" in names:
             out["MI"] = mutual_information(c_l, c_r, c_a).value
         if "MI2" in names:
@@ -247,9 +246,8 @@ def test_criterion_5_offset_scan_reproduction():
     for offset in range(-350, 151, 10):
         g = Geometry(m0=0, d_l=base_d + offset, ell_l=100, d_r=base_d,
                      ell_r=200)
-        c_l = build_corr_matrix(model, BIAS, g, "A_L", cache=cache)
-        c_r = build_corr_matrix(model, BIAS, g, "A_R", cache=cache)
         c_a = build_corr_matrix(model, BIAS, g, "A", cache=cache)
+        c_l, c_r = c_a.blocks()
         mi = mutual_information(c_l, c_r, c_a).value
         mi2 = mutual_information(c_l, c_r, c_a, 2).value
         numeric_mi[offset] = mi
@@ -331,9 +329,8 @@ def test_criterion_8_deviation_envelope_decay():
     for ell in (32, 48, 64, 96, 128, 192, 256):
         g = Geometry(m0=0, d_l=base_d + ell // 2, ell_l=ell, d_r=base_d,
                      ell_r=2 * ell)
-        c_l = build_corr_matrix(model, BIAS, g, "A_L", cache=cache)
-        c_r = build_corr_matrix(model, BIAS, g, "A_R", cache=cache)
         c_a = build_corr_matrix(model, BIAS, g, "A", cache=cache)
+        c_l, c_r = c_a.blocks()
         mi = mutual_information(c_l, c_r, c_a).value
         deviations[ell] = mi - vn_mi_asym(model, BIAS, g).total()
     blocks = [(32, 64), (64, 128), (128, 257)]

@@ -178,8 +178,7 @@ class TestSingleIntervalEntropy:
         xs, ys = [], []
         for ell in (64, 128, 256, 512):
             g = Geometry(m0=0, d_l=0, ell_l=ell, d_r=0, ell_r=ell)
-            c_l = build_corr_matrix(model, BIAS, g, "A_L", cache=cache)
-            c_r = build_corr_matrix(model, BIAS, g, "A_R", cache=cache)
+            c_l, c_r = build_corr_matrix(model, BIAS, g, "A", cache=cache).blocks()
             total = renyi_entropy(c_l, n).value + renyi_entropy(c_r, n).value
             p_l = single_interval_entropy_asym(model, BIAS, g, "L", n)
             p_r = single_interval_entropy_asym(model, BIAS, g, "R", n)

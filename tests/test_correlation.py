@@ -201,3 +201,34 @@ class TestBuildMatrix:
         c1 = build_corr_matrix(model, BIAS, g1, "A")
         c2 = build_corr_matrix(model, BIAS, g2, "A")
         np.testing.assert_allclose(c1.mat, c2.mat, atol=1e-12)
+
+
+class TestBlocks:
+    GEOMETRY = Geometry(m0=1, d_l=2, ell_l=3, d_r=4, ell_r=4)
+
+    @pytest.mark.parametrize("mode", ["longrange", "full"])
+    def test_blocks_are_views_with_site_maps(self, mode):
+        g = self.GEOMETRY
+        c_a = build_corr_matrix(SingleSite(eps0=0.7), BIAS, g, "A", mode)
+        c_l, c_r = c_a.blocks()
+        assert np.shares_memory(c_l.mat, c_a.mat)
+        assert np.shares_memory(c_r.mat, c_a.mat)
+        assert list(c_l.sites) == list(g.left_sites()) and c_l.n_left == g.ell_l
+        assert list(c_r.sites) == list(g.right_sites()) and c_r.n_left == 0
+        assert np.array_equal(c_l.mat, c_a.mat[:g.ell_l, :g.ell_l])
+        assert np.array_equal(c_r.mat, c_a.mat[g.ell_l:, g.ell_l:])
+
+    @pytest.mark.parametrize("mode", ["longrange", "full"])
+    @pytest.mark.parametrize("subsystem", ["A_L", "A_R"])
+    def test_side_matrix_matches_entry_oracle(self, subsystem, mode):
+        model = SingleSite(eps0=0.7)
+        g = self.GEOMETRY
+        c = build_corr_matrix(model, BIAS, g, subsystem, mode)
+        sites = g.left_sites() if subsystem == "A_L" else g.right_sites()
+        assert list(c.sites) == list(sites)
+        assert c.n_left == (len(sites) if subsystem == "A_L" else 0)
+        entry = corr_entry_full if mode == "full" else corr_entry_longrange
+        want = np.array([[entry(model, BIAS, j, m, g.m0) for m in sites]
+                         for j in sites])
+        np.testing.assert_allclose(c.mat, want, rtol=0,
+                                   atol=1e-10 if mode == "full" else 1e-12)

@@ -23,6 +23,7 @@ from nesscorr.fisher_hartwig import (
     negativity_gamma_linear_sum,
     negativity_log_coeff_gamma_sum,
     negativity_symbol,
+    symbol_linear_coeff,
     toeplitz_from_symbol,
 )
 from nesscorr.model import BiasConfig, ConstantS, Geometry
@@ -278,7 +279,6 @@ class TestMiLinearGammaSum:
     def test_combination_reproduces_volume_coefficient(self, n, t):
         # sum over gamma of the MI combination of symbol linear terms
         # equals ell_mirror (delta_k / pi) ln(T^n + R^n)
-        from nesscorr.harness import symbol_linear_coeff
         d_l, ell_l, d_r, ell_r = 15, 30, 25, 40
         mirror = max(min(d_l + ell_l, d_r + ell_r) - max(d_l, d_r), 0)
         delta_k, m = 0.2, 4000

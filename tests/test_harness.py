@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import nesscorr.harness as harness_module
 from nesscorr.cli import main
 from nesscorr.errors import ConfigError
 from nesscorr.harness import (
@@ -149,6 +150,22 @@ class TestRunScan:
         assert lines[0] == ("scan_value,measure,n,numeric,lin_term,log_term,"
                             "const_fit,residual")
         assert len(lines) == 1 + len(rows)
+
+    @pytest.mark.parametrize("mode", ["longrange", "full"])
+    def test_one_matrix_build_per_grid_point(self, monkeypatch, mode):
+        built = []
+        real_build = harness_module.build_corr_matrix
+
+        def counting_build(*args, **kwargs):
+            built.append(args[3])
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(harness_module, "build_corr_matrix", counting_build)
+        cfg = small_config(model=SingleSite(eps0=1.0), scan_values=(2, 3, 4),
+                           measures=("MI", "MI_n", "S_n", "E", "E_n"), mode=mode)
+        rows = run_scan(cfg)
+        assert all(r.error is None for r in rows)
+        assert built == ["A"] * len(cfg.scan_values)
 
     def test_full_mode_scan_tracks_longrange_at_large_distance(self):
         geometry = Geometry(0, 300, 4, 300, 4)
