@@ -80,6 +80,8 @@ class ScanRow:
     residual: float
     degenerate: bool = False
     error: str | None = None
+    clamped_count: int = 0        # spectrum eigenvalues clamped into [0, 1]
+    imag_residual: float = 0.0    # |Im| of the log-sum before it is dropped
 
 
 def geometry_at(cfg: ExperimentConfig, value: int) -> Geometry:
@@ -102,27 +104,31 @@ def _degenerate_distance(g: Geometry) -> int:
 
 def _numeric_measures(cfg: ExperimentConfig, g: Geometry,
                       cache: dict | None = None) -> dict:
-    """Spectra-backed measure values from one build of C_A per point."""
+    """Spectra-backed measure results from one build of C_A per point."""
     c_a = build_corr_matrix(cfg.model, cfg.bias, g, "A", cfg.mode, cache)
     c_l, c_r = c_a.blocks()
     out = {}
     for m in cfg.measures:
         if m == "MI":
-            out[("MI", 1.0)] = measures.mutual_information(c_l, c_r, c_a).value
+            out[("MI", 1.0)] = measures.mutual_information(c_l, c_r, c_a)
         elif m == "MI_n":
             for n in cfg.n_values:
                 out[("MI_n", float(n))] = measures.mutual_information(
-                    c_l, c_r, c_a, n).value
+                    c_l, c_r, c_a, n)
         elif m == "S_n":
             for n in cfg.n_values:
-                out[("S_n", float(n))] = (measures.renyi_entropy(c_l, n).value
-                                          + measures.renyi_entropy(c_r, n).value)
+                left = measures.renyi_entropy(c_l, n)
+                right = measures.renyi_entropy(c_r, n)
+                out[("S_n", float(n))] = measures.MeasureResult(
+                    value=left.value + right.value,
+                    imag_residual=max(left.imag_residual, right.imag_residual),
+                    clamped_count=left.clamped_count + right.clamped_count)
         elif m == "E":
-            out[("E", 1.0)] = measures.fermionic_negativity(c_a, c_a.n_left).value
+            out[("E", 1.0)] = measures.fermionic_negativity(c_a, c_a.n_left)
         elif m == "E_n":
             for n in cfg.n_values:
                 out[("E_n", float(n))] = measures.renyi_negativity_eig(
-                    c_a, c_a.n_left, n).value
+                    c_a, c_a.n_left, n)
     return out
 
 
@@ -191,7 +197,7 @@ def run_scan(cfg: ExperimentConfig) -> list[ScanRow]:
 
     rows: list[ScanRow] = []
     for measure, n in keys:
-        numeric, lin, log = {}, {}, {}
+        numeric, lin, log, measured = {}, {}, {}, {}
         point_error: dict[int, str] = {}
         for i, value in enumerate(grid):
             g = geometry_at(cfg, value)
@@ -203,7 +209,8 @@ def run_scan(cfg: ExperimentConfig) -> list[ScanRow]:
             except NesscorrError as exc:
                 point_error[i] = f"{type(exc).__name__}: {exc}"
                 continue
-            numeric[i] = per_point[i][(measure, n)]
+            measured[i] = per_point[i][(measure, n)]
+            numeric[i] = measured[i].value
             lin[i] = pred.linear_part
             log[i] = pred.log_part
         window = [i for i in _fit_indices(cfg, len(grid)) if i in numeric]
@@ -221,7 +228,9 @@ def run_scan(cfg: ExperimentConfig) -> list[ScanRow]:
                 continue
             resid = numeric[i] - lin[i] - log[i] - const
             rows.append(ScanRow(value, measure, n, numeric[i], lin[i], log[i],
-                                const, resid, degenerate))
+                                const, resid, degenerate,
+                                clamped_count=measured[i].clamped_count,
+                                imag_residual=measured[i].imag_residual))
     return rows
 
 
@@ -247,6 +256,8 @@ def scan_summary(rows) -> dict:
     return {
         "rows": len(rows),
         "failed_rows": len(failed),
+        "clamped_count": sum(r.clamped_count for r in rows),
+        "max_imag_residual": max((r.imag_residual for r in rows), default=0.0),
         "errors": [{"scan_value": r.scan_value, "measure": r.measure,
                     "n": r.n, "error": r.error} for r in failed],
         "degenerate_scan_values": degenerate,
@@ -461,8 +472,8 @@ def measure_point(cfg: ExperimentConfig) -> dict:
     g = cfg.geometry
     numeric = _numeric_measures(cfg, g)
     result = {}
-    for (measure, n), value in sorted(numeric.items()):
-        record = {"numeric": value}
+    for (measure, n), measured in sorted(numeric.items()):
+        record = {"numeric": measured.value}
         try:
             pred = _analytic_prediction(cfg, g, measure, n)
             record["lin_term"] = pred.linear_part

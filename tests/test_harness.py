@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import nesscorr.harness as harness_module
 from nesscorr.cli import main
 from nesscorr.errors import ConfigError
 from nesscorr.harness import (
+    CSV_HEADER,
     ExperimentConfig,
     fit_constant,
     geometry_at,
@@ -176,6 +178,38 @@ class TestRunScan:
         for a, b in zip(full, longrange):
             assert a.error is None
             assert a.numeric == pytest.approx(b.numeric, abs=5e-3)
+
+    def test_rows_carry_measure_diagnostics(self, monkeypatch):
+        # tag each negativity result with a distinct imaginary residual so
+        # the test sees it travel to its row; the eig route clamps the C_Xi
+        # spectrum onto the real axis, so its own residual is 0 here
+        real_negativity = harness_module.measures.fermionic_negativity
+        expected = {}
+
+        def tagged_negativity(c_a, size_left):
+            result = real_negativity(c_a, size_left)
+            tagged = replace(result, imag_residual=1e-12 * c_a.dim)
+            expected[size_left] = tagged
+            return tagged
+
+        monkeypatch.setattr(harness_module.measures, "fermionic_negativity",
+                            tagged_negativity)
+        cfg = small_config(scan_values=(4, 8, 12), measures=("MI", "E"),
+                           geometry=Geometry(0, 2, 4, 2, 4))
+        rows = run_scan(cfg)
+        e_rows = [r for r in rows if r.measure == "E"]
+        assert [r.clamped_count for r in e_rows] == [
+            expected[ell].clamped_count for ell in cfg.scan_values]
+        assert [r.imag_residual for r in e_rows] == [
+            expected[ell].imag_residual for ell in cfg.scan_values]
+        assert any(r.clamped_count for r in e_rows)
+        summary = scan_summary(rows)
+        assert summary["clamped_count"] == sum(r.clamped_count for r in rows)
+        assert summary["max_imag_residual"] == 1e-12 * 2 * 12
+        # the CSV does not depend on the diagnostics
+        bare = [replace(r, clamped_count=0, imag_residual=0.0) for r in rows]
+        assert rows_to_csv(rows) == rows_to_csv(bare)
+        assert rows_to_csv(rows).splitlines()[0] == ",".join(CSV_HEADER)
 
 
 class TestConfigParsing:
