@@ -8,7 +8,6 @@ determinant engine that cross-validates the two.
 
 from .asymptotics import (
     AsymptoticPrediction,
-    SortedLengths,
     negativity_asym_symmetric,
     q_fun,
     q_n,
@@ -60,7 +59,6 @@ __all__ = [
     "MeasureResult",
     "ScatteringData",
     "SingleSite",
-    "SortedLengths",
     "build_c_xi",
     "build_corr_matrix",
     "corr_entry_full",

@@ -276,19 +276,16 @@ class AsymptoticPrediction:
         return self.linear_part + self.log_part + (self.constant or 0.0)
 
 
-@dataclass(frozen=True)
-class SortedLengths:
-    """The four interval edges sorted ascending: m1 <= m2 <= m3 <= m4."""
+def edge_differences(g: Geometry) -> tuple[int, int, int, int]:
+    """The four edge differences that divide the four-point ratios.
 
-    m1: int
-    m2: int
-    m3: int
-    m4: int
-
-    @classmethod
-    def from_geometry(cls, g: Geometry) -> "SortedLengths":
-        values = sorted([g.d_l, g.ell_l + g.d_l, g.d_r, g.ell_r + g.d_r])
-        return cls(*values)
+    (ell_l + d_l - ell_r - d_r, d_l - d_r) divide the first ratio and
+    (ell_r + d_r - d_l, ell_l + d_l - d_r) the second.  One of them near
+    zero is the crossover where the asymptotics lose accuracy; one that is
+    exactly zero is omitted from its ratio.
+    """
+    return (g.ell_l + g.d_l - g.ell_r - g.d_r, g.d_l - g.d_r,
+            g.ell_r + g.d_r - g.d_l, g.ell_l + g.d_l - g.d_r)
 
 
 def _omitting_ratio(numerators, denominators) -> float:
@@ -310,13 +307,11 @@ def _omitting_ratio(numerators, denominators) -> float:
 
 
 def _four_point_ratios(g: Geometry) -> tuple[float, float]:
-    s = SortedLengths.from_geometry(g)
-    numerators = (s.m3 - s.m1, s.m4 - s.m2)
-    ratio1 = _omitting_ratio(
-        numerators, (g.ell_l + g.d_l - g.ell_r - g.d_r, g.d_l - g.d_r))
-    ratio2 = _omitting_ratio(
-        numerators, (g.ell_r + g.d_r - g.d_l, g.ell_l + g.d_l - g.d_r))
-    return ratio1, ratio2
+    m1, m2, m3, m4 = sorted([g.d_l, g.ell_l + g.d_l, g.d_r, g.ell_r + g.d_r])
+    numerators = (m3 - m1, m4 - m2)
+    d1, d2, d3, d4 = edge_differences(g)
+    return (_omitting_ratio(numerators, (d1, d2)),
+            _omitting_ratio(numerators, (d3, d4)))
 
 
 def _require_bias(bias: BiasConfig):

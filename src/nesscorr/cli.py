@@ -1,7 +1,7 @@
 """Command-line interface: measure, scan, identities, fh-validate.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure in at
-least one scan row.
+least one scan row or measured value.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ def _cmd_measure(args) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    return 0
+    failed = any("numeric_error" in r for r in result["measures"].values())
+    return 2 if failed else 0
 
 
 def _cmd_scan(args) -> int:

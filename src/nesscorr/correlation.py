@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densela import herm_eigvals
+from .densela import herm_eigvals, toeplitz
 from .errors import DomainError
 from .model import BiasConfig, ConstantS, Geometry, ImpurityModel
 from .quadrature import adaptive_gauss_legendre
@@ -232,13 +232,6 @@ def corr_entry_full(model: ImpurityModel, bias: BiasConfig,
     return left_sea(fl) + right_sea(fr)
 
 
-def _toeplitz(lag: np.ndarray) -> np.ndarray:
-    # square matrix with entry [p, q] = lag[p - q + size - 1]
-    size = (len(lag) + 1) // 2
-    idx = np.arange(size)
-    return lag[idx[:, None] - idx[None, :] + size - 1]
-
-
 def build_corr_matrix(model: ImpurityModel, bias: BiasConfig, g: Geometry,
                       subsystem: str, mode: str = "longrange",
                       cache=None) -> CorrelationMatrix:
@@ -267,9 +260,9 @@ def build_corr_matrix(model: ImpurityModel, bias: BiasConfig, g: Geometry,
         win = _WindowIntegrals(model, bias, cache)
         # sites within each block are consecutive integers, so the site
         # difference equals the position difference: Toeplitz fill by lag
-        mat[:nl, :nl] = _toeplitz(np.array(
+        mat[:nl, :nl] = toeplitz(np.array(
             [_fermi_kernel(bias.kf_l, d) - win("T", d) for d in range(1 - nl, nl)]))
-        mat[nl:, nl:] = _toeplitz(np.array(
+        mat[nl:, nl:] = toeplitz(np.array(
             [_fermi_kernel(bias.kf_r, d) + win("T", -d) for d in range(1 - nr, nr)]))
         # cross entries depend on the site sum only (Hankel-like)
         base = int(left[0] + right[0])

@@ -29,8 +29,10 @@ where W carries the value e^{2 pi i gamma / n} (mutual information) or
 additionally -e^{-2 pi i gamma / n} on the right window (negativity)
 inside the intervals [th_-, th_+] mapped from the subsystem edges.  The
 gamma-summed jump-interaction terms reproduce the closed-form logarithmic
-coefficients; both the direct sums and the closed forms live here as
-mutually checking routes.
+coefficients.  The closed forms (four-point ratios of the interval edges
+with the exact-zero omission rule) live in :mod:`nesscorr.asymptotics`;
+the direct gamma sums here are the independent route the tests check
+them against.
 
 Block machinery
 ---------------
@@ -48,10 +50,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import q_n, q_tilde_n
-from .densela import as_matrix
+from .densela import as_matrix, toeplitz
 from .errors import BranchError, DomainError, ScopeError
 from .model import BiasConfig, ConstantS, ImpurityModel
-from .quadrature import adaptive_gauss_legendre
 
 TWO_PI = 2.0 * np.pi
 
@@ -119,47 +120,52 @@ class PiecewiseSymbol:
         return beta
 
 
+def _arc_fourier(th, values, lags) -> np.ndarray:
+    """sum_r values[r] * int_{arc r} e^{-i lag theta} dtheta / 2 pi, per lag.
+
+    Arc r runs from ``th[r]`` to the next angle, the last one wrapping
+    through +-pi back to ``th[0]``; ``values`` holds one scalar or one
+    square block per arc.  These are the Fourier coefficients of a
+    piecewise-constant symbol, exact in closed form.
+    """
+    values = np.asarray(values, dtype=complex)
+    # lags run down axis 0, arcs along axis 1, block entries after them
+    trail = (1,) * (values.ndim - 1)
+    starts = np.asarray(th, dtype=float)
+    ends = np.append(starts[1:], starts[0] + TWO_PI).reshape((-1,) + trail)
+    starts = starts.reshape(ends.shape)
+    lag = np.asarray(lags).reshape((-1, 1) + trail)
+    safe = np.where(lag == 0, 1, lag)
+    # each lag divides once, after the sum over arcs
+    arcs = np.where(lag == 0, ends - starts,
+                    np.exp(-1j * safe * ends) - np.exp(-1j * safe * starts))
+    scale = np.where(lag == 0, TWO_PI, -2j * np.pi * safe)
+    return np.sum(values * arcs, axis=1) / scale[:, 0]
+
+
 def toeplitz_from_symbol(s: PiecewiseSymbol, m: int) -> np.ndarray:
     """Exact M x M Toeplitz matrix of the symbol (closed-form arc integrals)."""
     if m < 1:
         raise DomainError(f"matrix size {m} must be >= 1")
     if not s.jumps:
         return s.values[0] * np.eye(m, dtype=complex)
-    th = np.asarray(s.jumps, dtype=float)
-    vals = np.asarray(s.values, dtype=complex)
-    ends = np.append(th[1:], th[0] + TWO_PI)
-    lags = np.arange(-(m - 1), m)
-    coeffs = np.empty(len(lags), dtype=complex)
-    for i, lag in enumerate(lags):
-        if lag == 0:
-            coeffs[i] = np.sum(vals * (ends - th)) / TWO_PI
-        else:
-            coeffs[i] = np.sum(
-                vals * (np.exp(-1j * lag * ends) - np.exp(-1j * lag * th))
-            ) / (-2j * np.pi * lag)
-    idx = np.arange(m)
-    return coeffs[idx[:, None] - idx[None, :] + m - 1]
+    return toeplitz(_arc_fourier(s.jumps, s.values, np.arange(1 - m, m)))
 
 
 def symbol_linear_coeff(s: PiecewiseSymbol) -> complex:
     """Coefficient of M in the symbol's FH expansion: the mean of ln phi."""
     if not s.jumps:
         return complex(np.log(s.values[0]))
-    th = np.asarray(s.jumps, dtype=float)
-    ends = np.append(th[1:], th[0] + TWO_PI)
-    vals = np.asarray(s.values, dtype=complex)
-    return complex(np.sum((ends - th) * np.log(vals)) / TWO_PI)
+    log_values = np.log(np.asarray(s.values, dtype=complex))
+    return complex(_arc_fourier(s.jumps, log_values, [0])[0])
 
 
-def fh_logdet_asym(s: PiecewiseSymbol, m: int,
-                   angle_differences: bool = False) -> complex:
+def fh_logdet_asym(s: PiecewiseSymbol, m: int) -> complex:
     """Fisher-Hartwig asymptotics of ln det of the symbol's M x M matrix.
 
-    The O(1) constant is omitted.  ``angle_differences`` replaces
-    |e^{i th2} - e^{i th1}| by |th2 - th1| (legitimate only in the
-    M -> infinity rescaling context where all angles shrink).
-    Coincident jumps cannot occur here (angles are strictly ascending);
-    the degenerate-omission rule lives in the gamma-sum routines.
+    The O(1) constant is omitted.  Coincident jumps cannot occur here
+    (angles are strictly ascending); the degenerate-omission rule lives in
+    the gamma-sum routines.
     """
     if m < 1:
         raise DomainError(f"matrix size {m} must be >= 1")
@@ -170,10 +176,7 @@ def fh_logdet_asym(s: PiecewiseSymbol, m: int,
     total = m * symbol_linear_coeff(s) - np.sum(beta ** 2) * math.log(m)
     for r1 in range(len(th)):
         for r2 in range(r1 + 1, len(th)):
-            if angle_differences:
-                gap = abs(th[r2] - th[r1])
-            else:
-                gap = abs(np.exp(1j * th[r2]) - np.exp(1j * th[r1]))
+            gap = abs(np.exp(1j * th[r2]) - np.exp(1j * th[r1]))
             total += 2.0 * beta[r1] * beta[r2] * math.log(gap)
     return complex(total)
 
@@ -435,35 +438,6 @@ def gamma_log_sum_mi(transmission: float, n: int, case: str, lengths,
     return float(total.real)
 
 
-def mi_log_term_closed(transmission: float, n: int, lengths) -> float:
-    """Closed form of the gamma-summed MI log term (single Fermi point).
-
-    Built from the four-point ratios of the sorted window edges with the
-    exact-zero omission rule; valid in all three window cases and their
-    degenerate boundaries.
-    """
-    d_l, ell_l, d_r, ell_r = lengths
-    ms = sorted([d_l, d_l + ell_l, d_r, d_r + ell_r])
-    refl = 1.0 - transmission
-
-    def ratio(denominators):
-        num = 1.0
-        for x in (ms[2] - ms[0], ms[3] - ms[1]):
-            if x != 0:
-                num *= abs(x)
-        den = 1.0
-        for x in denominators:
-            if x != 0:
-                den *= abs(x)
-        return num / den
-
-    c1 = q_n(transmission, float(n)) + q_n(refl, float(n)) - (1.0 / n - n) / 12.0
-    c2 = q_tilde_n(transmission, float(n))
-    r1 = ratio((ell_l + d_l - ell_r - d_r, d_l - d_r))
-    r2 = ratio((ell_r + d_r - d_l, ell_l + d_l - d_r))
-    return c1 * math.log(r1) + c2 * math.log(r2)
-
-
 def negativity_gamma_linear_sum(transmission: float, n: int, lengths,
                                 delta_k: float) -> float:
     """Gamma-summed extensive term of the negativity symbols.
@@ -626,24 +600,8 @@ def block_toeplitz_matrix(b: BlockSymbol, ell: int) -> np.ndarray:
     """Exact 2 ell x 2 ell block-Toeplitz matrix of a 2x2 symbol."""
     if ell < 1:
         raise DomainError(f"block count {ell} must be >= 1")
-    th = np.asarray(b.breaks, dtype=float)
-    ends = np.append(th[1:], th[0] + TWO_PI)
-    blocks = [np.asarray(x, dtype=complex) for x in b.blocks]
-    lags = np.arange(-(ell - 1), ell)
-    coeff = np.zeros((len(lags), 2, 2), dtype=complex)
-    for i, lag in enumerate(lags):
-        if lag == 0:
-            for blk_, lo, hi in zip(blocks, th, ends):
-                coeff[i] += blk_ * (hi - lo) / TWO_PI
-        else:
-            for blk_, lo, hi in zip(blocks, th, ends):
-                coeff[i] += blk_ * (np.exp(-1j * lag * hi)
-                                    - np.exp(-1j * lag * lo)) / (-2j * np.pi * lag)
-    out = np.zeros((2 * ell, 2 * ell), dtype=complex)
-    for j in range(ell):
-        for m_ in range(ell):
-            out[2 * j:2 * j + 2, 2 * m_:2 * m_ + 2] = coeff[j - m_ + ell - 1]
-    return as_matrix(out)
+    coeffs = _arc_fourier(b.breaks, b.blocks, np.arange(1 - ell, ell))
+    return as_matrix(toeplitz(coeffs))
 
 
 def _check_lambda(lam: complex):
@@ -654,15 +612,15 @@ def _check_lambda(lam: complex):
 
 def block_fh_logdet_asym(lam: complex, bias: BiasConfig, t_fermi,
                          regime: str, ell: int,
-                         transmission=None) -> complex:
+                         transmission: float | None = None) -> complex:
     """Asymptotics of ln det(lambda I - C_A) for equal-length intervals.
 
     ``t_fermi`` is (T at kf_l, T at kf_r).  regime 'sym' is the
     ell >> |d_l - d_r| limit, whose ln(ell) coefficient
     (1/pi^2) ln^2((lambda-1)/lambda) carries no scattering data at all;
     regime 'far' is the opposite limit with the cross block dropped.
-    ``transmission`` (constant or callable) feeds the window integral of
-    the far-regime linear term; it defaults to the mean of ``t_fermi``.
+    The constant ``transmission`` feeds the window integral of the
+    far-regime linear term; it defaults to the mean of ``t_fermi``.
     """
     lam = complex(lam)
     _check_lambda(lam)
@@ -681,18 +639,9 @@ def block_fh_logdet_asym(lam: complex, bias: BiasConfig, t_fermi,
         return ell * linear + log_coeff * math.log(ell)
     t_l, t_r = t_fermi
     t_plus, t_minus = (t_l, t_r) if bias.kf_l >= bias.kf_r else (t_r, t_l)
-    if transmission is None:
-        t_const = 0.5 * (t_l + t_r)
-        window = (dk / (2 * pi)) * (np.log(lam - t_const)
-                                    + np.log(lam - (1.0 - t_const)))
-    elif callable(transmission):
-        window = adaptive_gauss_legendre(
-            lambda k: (np.log(lam - transmission(k))
-                       + np.log(lam - (1.0 - transmission(k)))) / (2 * pi),
-            k_lo, k_hi, tol=1e-11)
-    else:
-        window = (dk / (2 * pi)) * (np.log(lam - transmission)
-                                    + np.log(lam - (1.0 - transmission)))
+    t_const = 0.5 * (t_l + t_r) if transmission is None else transmission
+    window = (dk / (2 * pi)) * (np.log(lam - t_const)
+                                + np.log(lam - (1.0 - t_const)))
     linear = (2 * k_lo / pi) * log_l1 + (dk / (2 * pi)) * (log_l + log_l1) \
         + window + (2 * (pi - k_hi) / pi) * log_l
     log_coeff = (np.log((lam - 1.0) / lam)) ** 2 / (2 * pi ** 2)

@@ -78,10 +78,11 @@ class ScanRow:
     log_term: float
     const_fit: float
     residual: float
-    degenerate: bool = False
+    degenerate: bool = False      # a nonzero edge difference within the radius
     error: str | None = None
     clamped_count: int = 0        # spectrum eigenvalues clamped into [0, 1]
     imag_residual: float = 0.0    # |Im| of the log-sum before it is dropped
+    exact_zero: bool = False      # an edge difference is 0: the omission rule
 
 
 def geometry_at(cfg: ExperimentConfig, value: int) -> Geometry:
@@ -95,40 +96,60 @@ def geometry_at(cfg: ExperimentConfig, value: int) -> Geometry:
                    d_r=g.d_r if value >= 0 else g.d_r - int(value))
 
 
-def _degenerate_distance(g: Geometry) -> int:
-    """Distance (in sites) to the nearest vanishing length difference."""
-    diffs = (g.ell_l + g.d_l - g.ell_r - g.d_r, g.d_l - g.d_r,
-             g.ell_r + g.d_r - g.d_l, g.ell_l + g.d_l - g.d_r)
-    return int(min(abs(d) for d in diffs))
+def _degeneracy(g: Geometry, radius: int) -> tuple[bool, bool]:
+    """(near, exact) for the four edge differences of the geometry.
+
+    ``near``: one is nonzero but within ``radius`` sites, the crossover
+    where the asymptotics lose accuracy.  ``exact``: one is exactly zero,
+    which the omission rule of the closed forms handles.
+    """
+    diffs = asymptotics.edge_differences(g)
+    return (any(0 < abs(d) <= radius for d in diffs), 0 in diffs)
+
+
+def _measure_keys(cfg: ExperimentConfig) -> list[tuple[str, float]]:
+    keys: list[tuple[str, float]] = []
+    for m in cfg.measures:
+        if m in ("MI", "E"):
+            keys.append((m, 1.0))
+        else:
+            keys.extend((m, float(n)) for n in cfg.n_values)
+    return keys
+
+
+def _numeric_measure(c_a, c_l, c_r, measure: str,
+                     n: int) -> measures.MeasureResult:
+    if measure == "MI":
+        return measures.mutual_information(c_l, c_r, c_a)
+    if measure == "MI_n":
+        return measures.mutual_information(c_l, c_r, c_a, n)
+    if measure == "S_n":
+        left = measures.renyi_entropy(c_l, n)
+        right = measures.renyi_entropy(c_r, n)
+        return measures.MeasureResult(
+            value=left.value + right.value,
+            imag_residual=max(left.imag_residual, right.imag_residual),
+            clamped_count=left.clamped_count + right.clamped_count)
+    if measure == "E":
+        return measures.fermionic_negativity(c_a, c_a.n_left)
+    return measures.renyi_negativity_eig(c_a, c_a.n_left, n)
 
 
 def _numeric_measures(cfg: ExperimentConfig, g: Geometry,
                       cache: dict | None = None) -> dict:
-    """Spectra-backed measure results from one build of C_A per point."""
+    """Spectra-backed measure results from one build of C_A per point.
+
+    A measure that raises maps to the text of its error, so the other
+    measures of the point keep their values; a failed build of C_A raises.
+    """
     c_a = build_corr_matrix(cfg.model, cfg.bias, g, "A", cfg.mode, cache)
     c_l, c_r = c_a.blocks()
-    out = {}
-    for m in cfg.measures:
-        if m == "MI":
-            out[("MI", 1.0)] = measures.mutual_information(c_l, c_r, c_a)
-        elif m == "MI_n":
-            for n in cfg.n_values:
-                out[("MI_n", float(n))] = measures.mutual_information(
-                    c_l, c_r, c_a, n)
-        elif m == "S_n":
-            for n in cfg.n_values:
-                left = measures.renyi_entropy(c_l, n)
-                right = measures.renyi_entropy(c_r, n)
-                out[("S_n", float(n))] = measures.MeasureResult(
-                    value=left.value + right.value,
-                    imag_residual=max(left.imag_residual, right.imag_residual),
-                    clamped_count=left.clamped_count + right.clamped_count)
-        elif m == "E":
-            out[("E", 1.0)] = measures.fermionic_negativity(c_a, c_a.n_left)
-        elif m == "E_n":
-            for n in cfg.n_values:
-                out[("E_n", float(n))] = measures.renyi_negativity_eig(
-                    c_a, c_a.n_left, n)
+    out: dict = {}
+    for measure, n in _measure_keys(cfg):
+        try:
+            out[(measure, n)] = _numeric_measure(c_a, c_l, c_r, measure, int(n))
+        except NesscorrError as exc:
+            out[(measure, n)] = f"{type(exc).__name__}: {exc}"
     return out
 
 
@@ -188,21 +209,17 @@ def run_scan(cfg: ExperimentConfig) -> list[ScanRow]:
             per_point.append(None)
             errors.append(f"{type(exc).__name__}: {exc}")
 
-    keys: list[tuple[str, float]] = []
-    for m in cfg.measures:
-        if m in ("MI", "E"):
-            keys.append((m, 1.0))
-        else:
-            keys.extend((m, float(n)) for n in cfg.n_values)
-
     rows: list[ScanRow] = []
-    for measure, n in keys:
+    for measure, n in _measure_keys(cfg):
         numeric, lin, log, measured = {}, {}, {}, {}
         point_error: dict[int, str] = {}
         for i, value in enumerate(grid):
             g = geometry_at(cfg, value)
             if errors[i] is not None:
                 point_error[i] = errors[i]
+                continue
+            if isinstance(per_point[i][(measure, n)], str):
+                point_error[i] = per_point[i][(measure, n)]
                 continue
             try:
                 pred = _analytic_prediction(cfg, g, measure, n)
@@ -221,16 +238,18 @@ def run_scan(cfg: ExperimentConfig) -> list[ScanRow]:
             const = 0.0
         for i, value in enumerate(grid):
             g = geometry_at(cfg, value)
-            degenerate = _degenerate_distance(g) <= cfg.degeneracy_radius
+            degenerate, exact_zero = _degeneracy(g, cfg.degeneracy_radius)
             if i in point_error:
                 rows.append(ScanRow(value, measure, n, np.nan, np.nan, np.nan,
-                                    np.nan, np.nan, degenerate, point_error[i]))
+                                    np.nan, np.nan, degenerate, point_error[i],
+                                    exact_zero=exact_zero))
                 continue
             resid = numeric[i] - lin[i] - log[i] - const
             rows.append(ScanRow(value, measure, n, numeric[i], lin[i], log[i],
                                 const, resid, degenerate,
                                 clamped_count=measured[i].clamped_count,
-                                imag_residual=measured[i].imag_residual))
+                                imag_residual=measured[i].imag_residual,
+                                exact_zero=exact_zero))
     return rows
 
 
@@ -253,6 +272,7 @@ def rows_to_csv(rows) -> str:
 def scan_summary(rows) -> dict:
     failed = [r for r in rows if r.error is not None]
     degenerate = sorted({r.scan_value for r in rows if r.degenerate})
+    exact_zero = sorted({r.scan_value for r in rows if r.exact_zero})
     return {
         "rows": len(rows),
         "failed_rows": len(failed),
@@ -261,6 +281,7 @@ def scan_summary(rows) -> dict:
         "errors": [{"scan_value": r.scan_value, "measure": r.measure,
                     "n": r.n, "error": r.error} for r in failed],
         "degenerate_scan_values": degenerate,
+        "exact_zero_scan_values": exact_zero,
     }
 
 
@@ -416,7 +437,7 @@ def parse_config(text: str) -> ExperimentConfig:
       n_values              comma list of Renyi indices [2]
       mode                  longrange | full [longrange]
       fit.window            upper_half | all [upper_half]
-      fit.degeneracy_radius exclusion radius in sites [5]
+      fit.degeneracy_radius near-degeneracy flag radius in sites [5]
       output.csv            path for the scan CSV [none]
     """
     kv = _parse_kv(text)
@@ -473,7 +494,10 @@ def measure_point(cfg: ExperimentConfig) -> dict:
     numeric = _numeric_measures(cfg, g)
     result = {}
     for (measure, n), measured in sorted(numeric.items()):
-        record = {"numeric": measured.value}
+        if isinstance(measured, str):
+            record = {"numeric_error": measured}
+        else:
+            record = {"numeric": measured.value}
         try:
             pred = _analytic_prediction(cfg, g, measure, n)
             record["lin_term"] = pred.linear_part

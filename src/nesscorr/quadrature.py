@@ -75,7 +75,10 @@ def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-10,
         sign = -1.0
     width = hi - lo
     n0 = max(1, math.ceil(width * abs(frequency) / (0.5 * math.pi)))
-    n0 = min(n0, max_panels // 4)
+    if n0 > max_panels:
+        raise ConvergenceError(
+            f"quadrature on [{a}, {b}] needs {n0} initial panels, "
+            f"over the budget of {max_panels}")
     x_c, w_c = _gl_rule(order)
     x_f, w_f = _gl_rule(2 * order)
     x = np.concatenate([x_c, x_f])

@@ -5,7 +5,8 @@ import pytest
 
 from nesscorr.asymptotics import (
     AsymptoticPrediction,
-    SortedLengths,
+    _four_point_ratios,
+    edge_differences,
     negativity_asym_symmetric,
     q_fun,
     q_n,
@@ -141,10 +142,13 @@ class TestPredictionStructure:
         with pytest.raises(DomainError):
             AsymptoticPrediction(0.0, 1.0, ((1.0, 0.0),))
 
-    def test_sorted_lengths(self):
+    def test_edge_differences_and_four_point_ratios(self):
+        # sorted edges (2, 7, 9, 13): numerators 9 - 2 = 7 and 13 - 7 = 6
         g = Geometry(m0=0, d_l=9, ell_l=4, d_r=2, ell_r=5)
-        s = SortedLengths.from_geometry(g)
-        assert (s.m1, s.m2, s.m3, s.m4) == (2, 7, 9, 13)
+        assert edge_differences(g) == (6, 7, -2, 11)
+        ratio1, ratio2 = _four_point_ratios(g)
+        assert ratio1 == pytest.approx(7 * 6 / (6 * 7))
+        assert ratio2 == pytest.approx(7 * 6 / (2 * 11))
 
 
 class TestSingleIntervalEntropy:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nesscorr.densela import as_matrix, gen_eigvals, herm_eigvals, lu_logdet
+from nesscorr.densela import as_matrix, gen_eigvals, herm_eigvals, lu_logdet, toeplitz
 from nesscorr.errors import DimensionError, SingularMatrixError, SymmetryError
 
 
@@ -27,6 +27,23 @@ def cofactor_det(m):
 def det_via_lu(mat):
     sign, logabs = np.linalg.slogdet(mat)
     return sign * np.exp(logabs)
+
+
+class TestToeplitz:
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    @pytest.mark.parametrize("block", [None, 2])
+    def test_matches_double_loop(self, size, block):
+        rng = np.random.default_rng(size)
+        shape = (2 * size - 1,) + ((block, block) if block else ())
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        b = block or 1
+        want = np.empty((size * b, size * b), dtype=complex)
+        for p in range(size):
+            for q in range(size):
+                want[p * b:(p + 1) * b, q * b:(q + 1) * b] = coeffs[p - q + size - 1]
+        got = toeplitz(coeffs)
+        assert got.dtype == coeffs.dtype
+        assert np.array_equal(got, want)
 
 
 class TestHermEigvals:

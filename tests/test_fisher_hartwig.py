@@ -18,7 +18,6 @@ from nesscorr.fisher_hartwig import (
     gamma_identities,
     gamma_log_sum_mi,
     gamma_range,
-    mi_log_term_closed,
     mi_symbol,
     negativity_gamma_linear_sum,
     negativity_log_coeff_gamma_sum,
@@ -223,6 +222,17 @@ class TestGammaIdentities:
         assert want == pytest.approx(q_n(0.5, 2.0), abs=1e-10)
 
 
+def closed_mi_log_term(t, n, lengths):
+    """(1 - n) times the production Renyi-MI log part of a beamsplitter.
+
+    Both Fermi points carry the same T, so this is the gamma-summed MI log
+    term in the closed form of :mod:`nesscorr.asymptotics`.
+    """
+    d_l, ell_l, d_r, ell_r = lengths
+    g = Geometry(m0=0, d_l=d_l, ell_l=ell_l, d_r=d_r, ell_r=ell_r)
+    return (1 - n) * renyi_mi_asym(ConstantS.beamsplitter(t), BIAS, g, n).log_part
+
+
 class TestGammaLogSums:
     CASES = {
         "containment": (30, 10, 20, 40),
@@ -236,7 +246,7 @@ class TestGammaLogSums:
     def test_direct_sum_equals_unified_closed_form(self, case, n, t):
         lengths = self.CASES[case]
         got = gamma_log_sum_mi(t, n, case, lengths)
-        want = mi_log_term_closed(t, n, lengths)
+        want = closed_mi_log_term(t, n, lengths)
         assert got == pytest.approx(want, abs=1e-8)
 
     def test_independent_of_momentum_scale(self):
@@ -256,7 +266,7 @@ class TestGammaLogSums:
         lengths = self.CASES["containment"]
         for n in (2, 3):
             got = gamma_log_sum_mi(1.0, n, "containment", lengths)
-            want = mi_log_term_closed(1.0, n, lengths)
+            want = closed_mi_log_term(1.0, n, lengths)
             assert got == pytest.approx(want, abs=1e-9)
             assert want == pytest.approx(0.0, abs=1e-9)
 

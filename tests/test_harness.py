@@ -11,7 +11,7 @@ import pytest
 
 import nesscorr.harness as harness_module
 from nesscorr.cli import main
-from nesscorr.errors import ConfigError
+from nesscorr.errors import BranchError, ConfigError
 from nesscorr.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -141,10 +141,38 @@ class TestRunScan:
                            degeneracy_radius=5)
         rows = run_scan(cfg)
         flagged = {r.scan_value for r in rows if r.degenerate}
-        assert {-3, 0, 3}.issubset(flagged)
+        assert {-3, 3}.issubset(flagged)
         assert -20 not in flagged and 20 not in flagged
         summary = scan_summary(rows)
-        assert sorted(summary["degenerate_scan_values"]) == [-3, 0, 3]
+        # at offset 0 two differences vanish exactly (the omission rule)
+        # and the other two are ell = 8, outside the radius
+        assert sorted(summary["degenerate_scan_values"]) == [-3, 3]
+        assert summary["exact_zero_scan_values"] == [0]
+        # equal lengths and distances: d_l - d_r is exactly 0 everywhere
+        summary = scan_summary(run_scan(small_config()))
+        assert summary["degenerate_scan_values"] == []
+        assert summary["exact_zero_scan_values"] == [8, 16, 32]
+
+    def test_failing_measure_leaves_the_others_of_its_point(self, monkeypatch):
+        cfg = small_config(measures=("MI", "E"),
+                           geometry=Geometry(0, 2, 4, 2, 4))
+        clean = run_scan(cfg)
+        real_negativity = harness_module.measures.fermionic_negativity
+
+        def failing_at_16(c_a, size_left):
+            if size_left == 16:
+                raise BranchError("injected")
+            return real_negativity(c_a, size_left)
+
+        monkeypatch.setattr(harness_module.measures, "fermionic_negativity",
+                            failing_at_16)
+        rows = run_scan(cfg)
+        errors = {(r.scan_value, r.measure): r.error for r in rows
+                  if r.error is not None}
+        assert errors == {(16, "E"): "BranchError: injected"}
+        mi = [(r.scan_value, r.numeric) for r in rows if r.measure == "MI"]
+        assert mi == [(r.scan_value, r.numeric) for r in clean if r.measure == "MI"]
+        assert scan_summary(rows)["failed_rows"] == 1
 
     def test_csv_header_and_digits(self):
         rows = run_scan(small_config())
@@ -279,6 +307,19 @@ class TestMeasurePoint:
         mi = out["measures"]["MI[n=1]"]
         assert "numeric" in mi and "lin_term" in mi and "log_term" in mi
 
+    def test_reports_numeric_error_per_measure(self, monkeypatch):
+        def failing(c_a, size_left):
+            raise BranchError("injected")
+
+        monkeypatch.setattr(harness_module.measures, "fermionic_negativity",
+                            failing)
+        cfg = small_config(geometry=Geometry(0, 2, 8, 2, 8),
+                           measures=("MI", "E"))
+        out = measure_point(cfg)["measures"]
+        assert out["E[n=1]"]["numeric_error"] == "BranchError: injected"
+        assert "numeric" not in out["E[n=1]"]
+        assert np.isfinite(out["MI[n=1]"]["numeric"])
+
 
 class TestCli:
     def test_scan_roundtrip(self, tmp_path, capsys):
@@ -303,6 +344,36 @@ class TestCli:
         assert main(["measure", str(cfg_file)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert "measures" in out
+
+    def test_measure_numeric_error_exit_code(self, tmp_path, capsys,
+                                             monkeypatch):
+        def failing(c_l, c_r, c_a, n=None):
+            raise BranchError("injected")
+
+        monkeypatch.setattr(harness_module.measures, "mutual_information",
+                            failing)
+        cfg_file = tmp_path / "point.cfg"
+        cfg_file.write_text(CONFIG_TEXT)
+        assert main(["measure", str(cfg_file)]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["measures"]["MI[n=1]"]["numeric_error"] == "BranchError: injected"
+
+    def test_fh_validate_out(self, tmp_path, capsys):
+        out_file = tmp_path / "fh.csv"
+        assert main(["fh-validate", "--out", str(out_file)]) == 0
+        assert capsys.readouterr().out == ""
+        lines = out_file.read_text().splitlines()
+        assert lines[0] == ("case,family,m,exact_re,asym_re,diff_re,lnm_fit,"
+                            "lnm_expected")
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 3 * 2 * 3
+        assert {(r[0], r[1]) for r in rows} == {
+            (case, family) for case in ("containment", "disjoint", "partial")
+            for family in ("mi", "negativity")}
+        assert sorted({int(r[2]) for r in rows}) == [256, 512, 1024]
+        for r in rows:
+            assert len(r) == 8
+            assert all(np.isfinite(float(x)) for x in r[3:])
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"

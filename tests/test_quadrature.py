@@ -90,7 +90,8 @@ def _reference_adaptive_gl(f, a, b, tol=1e-10, frequency=0.0, order=16,
         sign = -1.0
     width = hi - lo
     n0 = max(1, math.ceil(width * abs(frequency) / (0.5 * math.pi)))
-    n0 = min(n0, max_panels // 4)
+    if n0 > max_panels:
+        raise ConvergenceError(f"{n0} initial panels exceed {max_panels}")
     edges = np.linspace(lo, hi, n0 + 1)
     stack = [(edges[i], edges[i + 1]) for i in range(n0)]
     total = 0.0
@@ -245,8 +246,20 @@ def test_q_fun_integrands_bit_exact(monkeypatch, t):
 # panel budget: the rule raises iff n0 + 2 * splits > max_panels
 
 
-@pytest.mark.parametrize("name, f, a, b, kwargs", REFINING,
-                         ids=[case[0] for case in REFINING])
+def _narrow_peak_phase(k):
+    return np.exp(40j * k) / (1e-4 + (k - 0.3) ** 2)
+
+
+# a fast phase gives many initial panels (n0 = 26) and a narrow peak makes
+# two of them split (budget 30); a budget below 4 * n0 must not coarsen
+# the initial partition into a tree that fits it
+BUDGET_CASES = REFINING + [
+    ("narrow_peak_phase", _narrow_peak_phase, 0.0, 1.0, {"frequency": 40.0}),
+]
+
+
+@pytest.mark.parametrize("name, f, a, b, kwargs", BUDGET_CASES,
+                         ids=[case[0] for case in BUDGET_CASES])
 def test_panel_budget_boundary(name, f, a, b, kwargs):
     n0 = _initial_panels(a, b, kwargs)
     counted = _Counting(f)
@@ -255,10 +268,15 @@ def test_panel_budget_boundary(name, f, a, b, kwargs):
     splits = (panels - n0) // 2
     assert splits > 0 and panels == n0 + 2 * splits
     budget = n0 + 2 * splits
-    # the budget also caps n0 at max_panels // 4; keep that cap inactive
-    assert budget - 1 >= 4 * n0
+    if name == "narrow_peak_phase":
+        assert (n0, budget) == (26, 30)
     for rule in (_reference_adaptive_gl, adaptive_gauss_legendre):
         rule(f, a, b, max_panels=budget, **kwargs)
         with pytest.raises(ConvergenceError) as info:
             rule(f, a, b, max_panels=budget - 1, **kwargs)
         assert isinstance(info.value, NesscorrError)
+    # fewer panels than the initial partition: raise before any evaluation
+    unused = _Counting(f)
+    with pytest.raises(ConvergenceError):
+        adaptive_gauss_legendre(unused, a, b, max_panels=n0 - 1, **kwargs)
+    assert unused.nodes == 0
