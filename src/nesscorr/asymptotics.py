@@ -20,10 +20,9 @@ transmission probability.  With R = 1 - p (or 1 - T):
     qt(T) = q(T) + 1/12 + int_0^1 dx/(pi^2 x)
             [((R+Tx)ln(R+Tx) + (T+Rx)ln(T+Rx))/(1+x) - T ln T - R ln R].
 
-These are the smooth representations used in production; each function
-also has an equivalent representation with integrable endpoint
-singularities, kept here purely as a cross-check oracle for the tests
-(``q_n_singular_form``, ``q_tilde_n_singular_form``).
+These are the smooth representations used in production; Q_n and Qt_n
+also have equivalent representations with integrable endpoint
+singularities, which the test suite evaluates as an independent oracle.
 
 Structure of a prediction
 -------------------------
@@ -46,7 +45,7 @@ import numpy as np
 
 from .errors import BiasError, DomainError, ScopeError
 from .model import BiasConfig, Geometry, ImpurityModel, mirror_overlap
-from .quadrature import adaptive_gauss_legendre, tanh_sinh
+from .quadrature import adaptive_gauss_legendre
 
 Q_TOL = 1e-10
 
@@ -146,55 +145,6 @@ def q_tilde_fun(t: float) -> float:
         return num / x / np.pi ** 2
 
     return q_fun(t) + 1.0 / 12.0 + adaptive_gauss_legendre(f, 0.0, 1.0, tol=Q_TOL)
-
-
-def _log_ratio_integral(lo: float, hi: float, n: float) -> float:
-    """int_lo^hi [x^(n-1) - (1-x)^(n-1)] / [x^n + (1-x)^n] * ln|(hi-x)/(x-lo)| dx.
-
-    The substitution x = lo + (hi - lo) sin^2(pi s / 2) turns both endpoint
-    logarithms (and, at lo = 0 with n < 1, the algebraic singularity) into
-    regular factors:  ln|(hi-x)/(x-lo)| = 2 [ln cos(pi s/2) - ln sin(pi s/2)].
-    """
-    if lo == hi:
-        return 0.0
-    width = hi - lo
-
-    def g(s):
-        sn = np.sin(0.5 * np.pi * s)
-        cs = np.cos(0.5 * np.pi * s)
-        x = lo + width * sn ** 2
-        # complement formed without cancellation so x**(n-1) and
-        # (1-x)**(n-1) stay finite arbitrarily close to the endpoints
-        comp = (1.0 - hi) + width * cs ** 2
-        num = x ** (n - 1.0) - comp ** (n - 1.0)
-        den = x ** n + comp ** n
-        logs = 2.0 * (np.log(cs) - np.log(sn))
-        return num / den * logs * width * 0.5 * np.pi * np.sin(np.pi * s)
-
-    return tanh_sinh(g, 0.0, 1.0, tol=1e-13, max_level=14)
-
-
-def q_n_singular_form(p: float, n: float) -> float:
-    """Q_n(p) from its other integral representation (test oracle).
-
-    Evaluated with tanh-sinh quadrature after a sine regularization of the
-    endpoints, both deliberately disjoint from the production path.
-    """
-    if n == 1.0:
-        return 0.0
-    return n / (2.0 * np.pi ** 2) * _log_ratio_integral(p, 1.0, n)
-
-
-def q_tilde_n_singular_form(t: float, n: float) -> float:
-    """Qt_n(T) via Q_n plus the signed two-endpoint-log integral (oracle)."""
-    r = 1.0 - t
-    base = q_n_singular_form(t, n) + q_n_singular_form(r, n)
-    if n == 1.0 or t == r:
-        return base
-    # the oriented integral from r to t of f ln|(r-x)/(t-x)| equals
-    # -H(min, max) in the ascending-endpoint convention of the helper
-    lo, hi = (r, t) if t > r else (t, r)
-    return base - n / (2.0 * np.pi ** 2) * _log_ratio_integral(lo, hi, n)
 
 
 # ---------------------------------------------------------------------------

@@ -76,11 +76,13 @@ class CorrelationMatrix:
                 CorrelationMatrix(self.sites[nl:], self.mat[nl:, nl:], 0))
 
 
-def _fermi_kernel(kf: float, delta: int) -> float:
-    # int_{-kf}^{kf} dk/2pi e^{-i delta k} = sin(kf delta) / (pi delta)
-    if delta == 0:
-        return kf / np.pi
-    return np.sin(kf * delta) / (np.pi * delta)
+def _fermi_kernel(kf: float, delta) -> np.ndarray:
+    # int_{-kf}^{kf} dk/2pi e^{-i delta k} = sin(kf delta) / (pi delta),
+    # kf / pi at delta = 0; elementwise over an array of integer lags
+    delta = np.asarray(delta, dtype=float)
+    zero = delta == 0
+    return np.where(zero, kf / np.pi,
+                    np.sin(kf * delta) / (np.pi * np.where(zero, 1.0, delta)))
 
 
 def _phase_integral(freq: float, k1: float, k2: float) -> complex:
@@ -260,18 +262,26 @@ def build_corr_matrix(model: ImpurityModel, bias: BiasConfig, g: Geometry,
         win = _WindowIntegrals(model, bias, cache)
         # sites within each block are consecutive integers, so the site
         # difference equals the position difference: Toeplitz fill by lag
-        mat[:nl, :nl] = toeplitz(np.array(
-            [_fermi_kernel(bias.kf_l, d) - win("T", d) for d in range(1 - nl, nl)]))
-        mat[nl:, nl:] = toeplitz(np.array(
-            [_fermi_kernel(bias.kf_r, d) + win("T", -d) for d in range(1 - nr, nr)]))
+        mat[:nl, :nl] = toeplitz(
+            _fermi_kernel(bias.kf_l, np.arange(1 - nl, nl))
+            - np.array([win("T", d) for d in range(1 - nl, nl)]))
+        mat[nl:, nl:] = toeplitz(
+            _fermi_kernel(bias.kf_r, np.arange(1 - nr, nr))
+            + np.array([win("T", -d) for d in range(1 - nr, nr)]))
         # cross entries depend on the site sum only (Hankel-like)
         base = int(left[0] + right[0])
         anti = np.array([-win("R", base + s) for s in range(n - 1)])
         mat[:nl, nl:] = anti[np.arange(nl)[:, None] + np.arange(nr)[None, :]]
 
-    # exact Hermitian storage: conjugate the computed triangle downward
+    # exact Hermitian storage: conjugate the computed triangle downward,
+    # diag + upper + upper^dagger summed in place, so that the triangle is
+    # the one n x n temporary (a scan holds an earlier C_A during the build)
     upper = np.triu(mat, 1)
-    mat = np.diag(np.real(np.diag(mat))).astype(complex) + upper + upper.conj().T
+    diag = mat.diagonal().real.copy()
+    mat[...] = 0.0
+    np.fill_diagonal(mat, diag)
+    mat += upper
+    mat += np.conjugate(upper, out=upper).T
     c_a = CorrelationMatrix(sites=sites, mat=mat, n_left=nl)
     if subsystem == "A":
         return c_a

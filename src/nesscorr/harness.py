@@ -6,6 +6,12 @@ exact correlation-matrix spectra, evaluates the matching closed-form
 asymptotics, fits the one free additive constant per series by least
 squares over a tail window, and emits plot-ready rows.
 
+Each grid point builds C_A once; C_L and C_R are its diagonal blocks.
+Within a scan, a side block equal bit for bit to the previous point's
+reuses that point's block and its occupation spectrum, so an offset scan
+diagonalises each distinct C_L and C_R once (in long-range mode neither
+depends on the offset).  The reuse changes no output bit.
+
 Configuration files are flat ``key = value`` text (``#`` comments); see
 :func:`parse_config` for the schema.  Scans run sequentially so that a
 given configuration always produces bit-identical output.
@@ -20,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import asymptotics, fisher_hartwig, measures
-from .correlation import build_corr_matrix
+from .correlation import CorrelationMatrix, build_corr_matrix
 from .densela import lu_logdet
 from .errors import ConfigError, NesscorrError
 from .model import BiasConfig, ConstantS, Geometry, ImpurityModel, SingleSite, mirror_overlap
@@ -135,22 +141,38 @@ def _numeric_measure(c_a, c_l, c_r, measure: str,
     return measures.renyi_negativity_eig(c_a, c_a.n_left, n)
 
 
+def _same_or_new(side: CorrelationMatrix,
+                 previous: CorrelationMatrix) -> CorrelationMatrix:
+    """``previous`` if its matrix equals ``side``'s bit for bit, else ``side``.
+
+    Reusing ``previous`` reuses its memoised occupation spectrum.
+    ``np.array_equal`` compares shapes before entries.
+    """
+    return previous if np.array_equal(previous.mat, side.mat) else side
+
+
 def _numeric_measures(cfg: ExperimentConfig, g: Geometry,
-                      cache: dict | None = None) -> dict:
+                      cache: dict | None = None,
+                      previous: tuple | None = None) -> tuple[dict, tuple]:
     """Spectra-backed measure results from one build of C_A per point.
 
+    Returns the results and the point's (C_L, C_R).  A side block equal
+    to its counterpart in ``previous``, the (C_L, C_R) of an earlier
+    point, is replaced by it, so its spectrum is not computed again.
     A measure that raises maps to the text of its error, so the other
     measures of the point keep their values; a failed build of C_A raises.
     """
     c_a = build_corr_matrix(cfg.model, cfg.bias, g, "A", cfg.mode, cache)
     c_l, c_r = c_a.blocks()
+    if previous is not None:
+        c_l, c_r = _same_or_new(c_l, previous[0]), _same_or_new(c_r, previous[1])
     out: dict = {}
     for measure, n in _measure_keys(cfg):
         try:
             out[(measure, n)] = _numeric_measure(c_a, c_l, c_r, measure, int(n))
         except NesscorrError as exc:
             out[(measure, n)] = f"{type(exc).__name__}: {exc}"
-    return out
+    return out, (c_l, c_r)
 
 
 def _analytic_prediction(cfg: ExperimentConfig, g: Geometry, measure: str,
@@ -200,10 +222,14 @@ def run_scan(cfg: ExperimentConfig) -> list[ScanRow]:
     per_point: list[dict | None] = []
     errors: list[str | None] = []
     entry_cache: dict = {}  # window integrals shared across the grid
+    sides = None  # the last point's (C_L, C_R), for _numeric_measures to reuse
     for value in grid:
         g = geometry_at(cfg, value)
+        if sides is not None and (sides[0].dim, sides[1].dim) != (g.ell_l, g.ell_r):
+            sides = None  # a length scan: no side can match; free the old C_A first
         try:
-            per_point.append(_numeric_measures(cfg, g, entry_cache))
+            point, sides = _numeric_measures(cfg, g, entry_cache, sides)
+            per_point.append(point)
             errors.append(None)
         except NesscorrError as exc:
             per_point.append(None)
@@ -491,7 +517,7 @@ def parse_config(text: str) -> ExperimentConfig:
 def measure_point(cfg: ExperimentConfig) -> dict:
     """Single-configuration evaluation for the `measure` subcommand."""
     g = cfg.geometry
-    numeric = _numeric_measures(cfg, g)
+    numeric, _ = _numeric_measures(cfg, g)
     result = {}
     for (measure, n), measured in sorted(numeric.items()):
         if isinstance(measured, str):

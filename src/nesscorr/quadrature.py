@@ -15,11 +15,6 @@ to every node.  The accepted panels' fine sums are added to the total one
 at a time in descending order of their left edges, the order in which a
 depth-first, right-first traversal of the same tree meets them, so the
 rounding of the result does not depend on how the work is batched.
-
-A tanh-sinh (double-exponential) rule is also provided.  It is used by the
-test suite as an independent cross-check for integrands with endpoint
-singularities, and is deliberately a different algorithm from the
-production path.
 """
 
 from __future__ import annotations
@@ -110,53 +105,3 @@ def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-10,
     for value in fines:
         total = total + value
     return sign * total
-
-
-def tanh_sinh(f, a: float, b: float, tol: float = 1e-12,
-              max_level: int = 12):
-    """Double-exponential quadrature over the oriented interval [a, b].
-
-    Robust against integrable endpoint singularities (logarithmic or
-    algebraic); the abscissas never touch the endpoints.
-    """
-    if a == b:
-        return 0.0
-    sign = 1.0
-    lo, hi = a, b
-    if hi < lo:
-        lo, hi = hi, lo
-        sign = -1.0
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-
-    def nodes(ts):
-        u = 0.5 * math.pi * np.sinh(ts)
-        x = np.tanh(u)
-        w = 0.5 * math.pi * np.cosh(ts) / np.cosh(u) ** 2
-        return x, w
-
-    # discard nodes whose mapped image could round onto an endpoint: a
-    # singular integrand evaluated exactly there would poison the sum
-    # with inf regardless of the (tiny) weight
-    edge = 1.0 - 1e-14
-
-    t_max = 4.0
-    h = 1.0
-    ts0 = np.arange(-np.floor(t_max), np.floor(t_max) + 1.0)
-    x0, w0 = nodes(ts0)
-    keep0 = np.abs(x0) < edge
-    total = h * np.sum(w0[keep0] * f(mid + half * x0[keep0]))
-    prev = total
-    for level in range(1, max_level + 1):
-        h *= 0.5
-        ts = np.arange(h, t_max, 2 * h)
-        ts = np.concatenate([-ts[::-1], ts])
-        x, w = nodes(ts)
-        keep = np.abs(x) < edge
-        x, w = x[keep], w[keep]
-        contrib = h * np.sum(w * f(mid + half * x))
-        total = 0.5 * prev + contrib
-        if level >= 3 and abs(total - prev) <= tol:
-            return sign * half * total
-        prev = total
-    return sign * half * total

@@ -1,0 +1,114 @@
+"""Test-only oracles: independent algorithms the production code does not use.
+
+``tanh_sinh`` is a double-exponential rule, deliberately a different
+algorithm from the production Gauss-Legendre path, for integrands with
+endpoint singularities.  ``q_n_singular_form`` and
+``q_tilde_n_singular_form`` evaluate Q_n and Qt_n from their
+representations with integrable endpoint singularities, disjoint from the
+smooth forms ``nesscorr.asymptotics`` evaluates.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+def tanh_sinh(f, a: float, b: float, tol: float = 1e-12,
+              max_level: int = 12):
+    """Double-exponential quadrature over the oriented interval [a, b].
+
+    Robust against integrable endpoint singularities (logarithmic or
+    algebraic); the abscissas never touch the endpoints.
+    """
+    if a == b:
+        return 0.0
+    sign = 1.0
+    lo, hi = a, b
+    if hi < lo:
+        lo, hi = hi, lo
+        sign = -1.0
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+
+    def nodes(ts):
+        u = 0.5 * math.pi * np.sinh(ts)
+        x = np.tanh(u)
+        w = 0.5 * math.pi * np.cosh(ts) / np.cosh(u) ** 2
+        return x, w
+
+    # discard nodes whose mapped image could round onto an endpoint: a
+    # singular integrand evaluated exactly there would poison the sum
+    # with inf regardless of the (tiny) weight
+    edge = 1.0 - 1e-14
+
+    t_max = 4.0
+    h = 1.0
+    ts0 = np.arange(-np.floor(t_max), np.floor(t_max) + 1.0)
+    x0, w0 = nodes(ts0)
+    keep0 = np.abs(x0) < edge
+    total = h * np.sum(w0[keep0] * f(mid + half * x0[keep0]))
+    prev = total
+    for level in range(1, max_level + 1):
+        h *= 0.5
+        ts = np.arange(h, t_max, 2 * h)
+        ts = np.concatenate([-ts[::-1], ts])
+        x, w = nodes(ts)
+        keep = np.abs(x) < edge
+        x, w = x[keep], w[keep]
+        contrib = h * np.sum(w * f(mid + half * x))
+        total = 0.5 * prev + contrib
+        if level >= 3 and abs(total - prev) <= tol:
+            return sign * half * total
+        prev = total
+    return sign * half * total
+
+
+def _log_ratio_integral(lo: float, hi: float, n: float) -> float:
+    """int_lo^hi [x^(n-1) - (1-x)^(n-1)] / [x^n + (1-x)^n] * ln|(hi-x)/(x-lo)| dx.
+
+    The substitution x = lo + (hi - lo) sin^2(pi s / 2) turns both endpoint
+    logarithms (and, at lo = 0 with n < 1, the algebraic singularity) into
+    regular factors:  ln|(hi-x)/(x-lo)| = 2 [ln cos(pi s/2) - ln sin(pi s/2)].
+    """
+    if lo == hi:
+        return 0.0
+    width = hi - lo
+
+    def g(s):
+        sn = np.sin(0.5 * np.pi * s)
+        cs = np.cos(0.5 * np.pi * s)
+        x = lo + width * sn ** 2
+        # complement formed without cancellation so x**(n-1) and
+        # (1-x)**(n-1) stay finite arbitrarily close to the endpoints
+        comp = (1.0 - hi) + width * cs ** 2
+        num = x ** (n - 1.0) - comp ** (n - 1.0)
+        den = x ** n + comp ** n
+        logs = 2.0 * (np.log(cs) - np.log(sn))
+        return num / den * logs * width * 0.5 * np.pi * np.sin(np.pi * s)
+
+    return tanh_sinh(g, 0.0, 1.0, tol=1e-13, max_level=14)
+
+
+def q_n_singular_form(p: float, n: float) -> float:
+    """Q_n(p) from its other integral representation (test oracle).
+
+    Evaluated with tanh-sinh quadrature after a sine regularization of the
+    endpoints, both deliberately disjoint from the production path.
+    """
+    if n == 1.0:
+        return 0.0
+    return n / (2.0 * np.pi ** 2) * _log_ratio_integral(p, 1.0, n)
+
+
+def q_tilde_n_singular_form(t: float, n: float) -> float:
+    """Qt_n(T) via Q_n plus the signed two-endpoint-log integral (oracle)."""
+    r = 1.0 - t
+    base = q_n_singular_form(t, n) + q_n_singular_form(r, n)
+    if n == 1.0 or t == r:
+        return base
+    # the oriented integral from r to t of f ln|(r-x)/(t-x)| equals
+    # -H(min, max) in the ascending-endpoint convention of the helper
+    lo, hi = (r, t) if t > r else (t, r)
+    return base - n / (2.0 * np.pi ** 2) * _log_ratio_integral(lo, hi, n)

@@ -10,10 +10,8 @@ from nesscorr.asymptotics import (
     negativity_asym_symmetric,
     q_fun,
     q_n,
-    q_n_singular_form,
     q_tilde_fun,
     q_tilde_n,
-    q_tilde_n_singular_form,
     renyi_mi_asym,
     single_interval_entropy_asym,
     vn_mi_asym,
@@ -23,6 +21,7 @@ from nesscorr.correlation import build_corr_matrix
 from nesscorr.errors import BiasError, DomainError, ScopeError
 from nesscorr.measures import renyi_entropy
 from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
+from oracles import q_n_singular_form, q_tilde_n_singular_form
 
 BIAS = BiasConfig.from_fermi_momenta(np.pi / 2 + 0.2, np.pi / 2)
 NO_BIAS = BiasConfig.from_fermi_momenta(1.3, 1.3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nesscorr.correlation import (
+    _fermi_kernel,
     build_corr_matrix,
     corr_entry_full,
     corr_entry_longrange,
@@ -65,6 +66,17 @@ def trapezoid_full(model, bias, j, m, points=100_001):
         total += np.trapezoid(np.conj(right_bra(ks, j)) * right_bra(ks, m),
                               ks) / (2 * np.pi)
     return total
+
+
+@pytest.mark.parametrize("kf", [0.0, 0.3, np.pi / 2, np.pi / 2 + 0.2, np.pi])
+def test_fermi_kernel_array_equals_scalar_formula_bitwise(kf):
+    # the scan reference rows pin every bit of C_A, so the array kernel
+    # must round exactly as the per-lag scalar formula does
+    scalar = np.array([kf / np.pi if d == 0 else np.sin(kf * d) / (np.pi * d)
+                       for d in range(-1023, 1024)])
+    got = _fermi_kernel(kf, np.arange(-1023, 1024))
+    assert got.dtype == np.float64
+    assert got.tobytes() == scalar.tobytes()
 
 
 class TestLongRangeEntries:

@@ -59,6 +59,32 @@ output.csv = out.csv
 """
 
 
+def _count_spectra(monkeypatch) -> list[int]:
+    """Record the dimension of every Hermitian spectrum the measures compute."""
+    sizes: list[int] = []
+    real = harness_module.measures.herm_eigvals
+
+    def counting(m):
+        sizes.append(np.shape(m)[0])
+        return real(m)
+
+    monkeypatch.setattr(harness_module.measures, "herm_eigvals", counting)
+    return sizes
+
+
+def _assert_rows_match_fresh_points(cfg, rows):
+    """Each row equals an evaluation of its grid point on its own."""
+    fresh = {}
+    for r in rows:
+        if r.scan_value not in fresh:
+            g = geometry_at(cfg, r.scan_value)
+            fresh[r.scan_value], _ = harness_module._numeric_measures(cfg, g)
+        want = fresh[r.scan_value][(r.measure, r.n)]
+        assert r.error is None
+        assert (r.numeric, r.clamped_count, r.imag_residual) == (
+            want.value, want.clamped_count, want.imag_residual)
+
+
 class TestFitConstant:
     def test_exact_offset(self):
         numeric = {0: 4.7, 1: 5.7, 2: 6.7}
@@ -196,6 +222,42 @@ class TestRunScan:
         rows = run_scan(cfg)
         assert all(r.error is None for r in rows)
         assert built == ["A"] * len(cfg.scan_values)
+
+    def test_longrange_offset_scan_diagonalises_each_side_once(self, monkeypatch):
+        # long-range C_L and C_R do not depend on d_l - d_r: one spectrum
+        # each for the scan, plus one of C_A per point
+        cfg = small_config(model=SingleSite(eps0=1.0), scan_variable="offset",
+                           scan_values=(-6, -3, 0, 3, 6),
+                           geometry=Geometry(0, 0, 4, 10, 6),
+                           measures=("MI", "MI_n", "S_n"))
+        sizes = _count_spectra(monkeypatch)
+        rows = run_scan(cfg)
+        assert sizes == [4, 6] + [10] * len(cfg.scan_values)
+        _assert_rows_match_fresh_points(cfg, rows)
+
+    def test_full_mode_offset_scan_reuses_the_side_at_fixed_distance(
+            self, monkeypatch):
+        # offsets <= 0 keep d_l fixed, offsets >= 0 keep d_r fixed; the side
+        # whose distance equals the previous point's is not diagonalised again
+        cfg = small_config(model=SingleSite(eps0=1.0), mode="full",
+                           scan_variable="offset", scan_values=(-4, -2, 0, 2, 4),
+                           geometry=Geometry(0, 0, 3, 6, 4), measures=("MI",))
+        sizes = _count_spectra(monkeypatch)
+        rows = run_scan(cfg)
+        assert sizes == [3, 4, 7,   # -4: first point, nothing to reuse
+                         4, 7,      # -2: C_L reused
+                         4, 7,      # 0: C_L reused
+                         3, 7,      # 2: C_R reused
+                         3, 7]      # 4: C_R reused
+        _assert_rows_match_fresh_points(cfg, rows)
+
+    def test_length_scan_reuses_no_side(self, monkeypatch):
+        cfg = small_config(model=SingleSite(eps0=1.0), scan_values=(4, 8, 12),
+                           measures=("MI", "MI_n"))
+        sizes = _count_spectra(monkeypatch)
+        rows = run_scan(cfg)
+        assert len(sizes) == 3 * len(cfg.scan_values)
+        _assert_rows_match_fresh_points(cfg, rows)
 
     def test_full_mode_scan_tracks_longrange_at_large_distance(self):
         geometry = Geometry(0, 300, 4, 300, 4)

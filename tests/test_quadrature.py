@@ -9,7 +9,8 @@ import nesscorr.asymptotics as asymptotics
 import nesscorr.correlation as correlation
 from nesscorr.errors import ConvergenceError, NesscorrError
 from nesscorr.model import BiasConfig, SingleSite
-from nesscorr.quadrature import _gl_rule, adaptive_gauss_legendre, tanh_sinh
+from nesscorr.quadrature import _gl_rule, adaptive_gauss_legendre
+from oracles import tanh_sinh
 
 
 def test_polynomial_exact():
