@@ -343,7 +343,7 @@ def vn_mi_asym(model: ImpurityModel, bias: BiasConfig,
 
 
 def negativity_asym_symmetric(model: ImpurityModel, bias: BiasConfig,
-                              geometry_or_length, n=None) -> AsymptoticPrediction:
+                              g: Geometry, n=None) -> AsymptoticPrediction:
     """Negativity asymptotics for the symmetric configuration only.
 
     ``n`` even selects the Renyi negativity E_n; ``n=None`` the fermionic
@@ -352,17 +352,11 @@ def negativity_asym_symmetric(model: ImpurityModel, bias: BiasConfig,
     closed form here.
     """
     _require_bias(bias)
-    if isinstance(geometry_or_length, Geometry):
-        g = geometry_or_length
-        if g.ell_l != g.ell_r or g.d_l != g.d_r:
-            raise ScopeError(
-                "negativity asymptotics available only for ell_l == ell_r "
-                "and d_l == d_r")
-        ell = g.ell_l
-    else:
-        ell = int(geometry_or_length)
-        if ell < 1:
-            raise DomainError(f"length {ell} must be >= 1")
+    if g.ell_l != g.ell_r or g.d_l != g.d_r:
+        raise ScopeError(
+            "negativity asymptotics available only for ell_l == ell_r "
+            "and d_l == d_r")
+    ell = g.ell_l
     if n is None:
         n_eff, kind = 1.0, "neg_vn"
     else:

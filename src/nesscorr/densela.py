@@ -63,14 +63,18 @@ def herm_eigvals(m) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted ascending.
 
     Hermiticity is checked, never silently repaired: an asymmetric
-    correlation matrix signals a bug in whatever built it.
+    correlation matrix signals a bug in whatever built it.  The exact
+    test allocates nothing; only a matrix that fails it pays for the
+    n x n temporaries of max |m - m^dagger|, which may still be within
+    ``HERMITICITY_TOL``.
     """
     m = _require_square(m)
-    dev = np.max(np.abs(m - m.conj().T))
-    if dev > HERMITICITY_TOL:
-        raise SymmetryError(
-            f"matrix is not Hermitian: max |m - m^dagger| = {dev:.3e}",
-            max_deviation=float(dev))
+    if not scipy.linalg.ishermitian(m):
+        dev = np.max(np.abs(m - m.conj().T))
+        if dev > HERMITICITY_TOL:
+            raise SymmetryError(
+                f"matrix is not Hermitian: max |m - m^dagger| = {dev:.3e}",
+                max_deviation=float(dev))
     return np.linalg.eigvalsh(m)
 
 

@@ -1,10 +1,11 @@
 """Experiment orchestration: scans, constant fitting, identity suites.
 
-A scan walks a grid of a single geometry variable (subsystem length or
-the distance offset d_l - d_r), computes the requested measures from
-exact correlation-matrix spectra, evaluates the matching closed-form
-asymptotics, fits the one free additive constant per series by least
-squares over a tail window, and emits plot-ready rows.
+A scan walks a grid of one geometry variable (subsystem length or the
+offset d_l - d_r) once.  At each point it evaluates every requested
+measure by the two routes that ``MEASURES`` pairs for it: exact
+correlation-matrix spectra and the closed-form asymptotics.  Each series
+then fits its one free additive constant by least squares over a tail
+window, and the rows are plot-ready.
 
 Each grid point builds C_A once; C_L and C_R are its diagonal blocks.
 Within a scan, a side block equal bit for bit to the previous point's
@@ -22,17 +23,63 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import asymptotics, fisher_hartwig, measures
-from .correlation import CorrelationMatrix, build_corr_matrix
+from .correlation import build_corr_matrix
 from .densela import lu_logdet
 from .errors import ConfigError, NesscorrError
 from .model import BiasConfig, ConstantS, Geometry, ImpurityModel, SingleSite, mirror_overlap
 
-MEASURE_NAMES = ("S_n", "MI_n", "MI", "E_n", "E")
 DEGENERACY_RADIUS_DEFAULT = 5
+
+
+def _entropy_pair(c_a, c_l, c_r, n: int) -> measures.MeasureResult:
+    """S_n(A_L) + S_n(A_R): the worse residual, both clamp counts."""
+    left = measures.renyi_entropy(c_l, n)
+    right = measures.renyi_entropy(c_r, n)
+    return measures.MeasureResult(
+        value=left.value + right.value,
+        imag_residual=max(left.imag_residual, right.imag_residual),
+        clamped_count=left.clamped_count + right.clamped_count)
+
+
+def _entropy_pair_asym(model, bias, g, n: float) -> asymptotics.AsymptoticPrediction:
+    left = asymptotics.single_interval_entropy_asym(model, bias, g, "L", n)
+    right = asymptotics.single_interval_entropy_asym(model, bias, g, "R", n)
+    return asymptotics.AsymptoticPrediction(
+        linear_coeff=left.linear_coeff,
+        linear_length=float(g.ell_l + g.ell_r),
+        log_terms=left.log_terms + right.log_terms)
+
+
+class Measure(NamedTuple):
+    """A measure's Renyi indices, numeric route and closed form."""
+
+    indices: str | None   # None: one n = 1 series; "any", "even": one per index
+    numeric: Callable     # (C_A, C_L, C_R, int n) -> MeasureResult
+    closed_form: Callable  # (model, bias, g, float n) -> AsymptoticPrediction
+
+
+# Entries look the layer function up when called, so a patched module
+# attribute is the one that runs.
+MEASURES = {
+    "S_n": Measure("any", _entropy_pair, _entropy_pair_asym),
+    "MI_n": Measure(
+        "any", lambda c_a, c_l, c_r, n: measures.mutual_information(c_l, c_r, c_a, n),
+        lambda m, b, g, n: asymptotics.renyi_mi_asym(m, b, g, n)),
+    "MI": Measure(
+        None, lambda c_a, c_l, c_r, n: measures.mutual_information(c_l, c_r, c_a),
+        lambda m, b, g, n: asymptotics.vn_mi_asym(m, b, g)),
+    "E_n": Measure(
+        "even", lambda c_a, c_l, c_r, n: measures.renyi_negativity_eig(c_a, c_a.n_left, n),
+        lambda m, b, g, n: asymptotics.negativity_asym_symmetric(m, b, g, int(n))),
+    "E": Measure(
+        None, lambda c_a, c_l, c_r, n: measures.fermionic_negativity(c_a, c_a.n_left),
+        lambda m, b, g, n: asymptotics.negativity_asym_symmetric(m, b, g)),
+}
 
 
 @dataclass(frozen=True)
@@ -61,13 +108,12 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(self.scan_values, self.scan_values[1:])):
             raise ConfigError("scan grid must be strictly increasing")
         for m in self.measures:
-            if m not in MEASURE_NAMES:
+            if m not in MEASURES:
                 raise ConfigError(f"unknown measure {m!r}")
+            if MEASURES[m].indices == "even" and any(n % 2 for n in self.n_values):
+                raise ConfigError(f"measure {m} needs even Renyi indices")
         if self.mode not in ("longrange", "full"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if any(m in ("E_n",) for m in self.measures):
-            if any(n % 2 for n in self.n_values):
-                raise ConfigError("negativity measures need even Renyi indices")
         if self.fit_window not in ("upper_half", "all"):
             raise ConfigError(f"unknown fit window {self.fit_window!r}")
 
@@ -102,53 +148,13 @@ def geometry_at(cfg: ExperimentConfig, value: int) -> Geometry:
                    d_r=g.d_r if value >= 0 else g.d_r - int(value))
 
 
-def _degeneracy(g: Geometry, radius: int) -> tuple[bool, bool]:
-    """(near, exact) for the four edge differences of the geometry.
-
-    ``near``: one is nonzero but within ``radius`` sites, the crossover
-    where the asymptotics lose accuracy.  ``exact``: one is exactly zero,
-    which the omission rule of the closed forms handles.
-    """
-    diffs = asymptotics.edge_differences(g)
-    return (any(0 < abs(d) <= radius for d in diffs), 0 in diffs)
-
-
 def _measure_keys(cfg: ExperimentConfig) -> list[tuple[str, float]]:
-    keys: list[tuple[str, float]] = []
-    for m in cfg.measures:
-        if m in ("MI", "E"):
-            keys.append((m, 1.0))
-        else:
-            keys.extend((m, float(n)) for n in cfg.n_values)
-    return keys
+    return [(m, float(n)) for m in cfg.measures
+            for n in (cfg.n_values if MEASURES[m].indices else (1,))]
 
 
-def _numeric_measure(c_a, c_l, c_r, measure: str,
-                     n: int) -> measures.MeasureResult:
-    if measure == "MI":
-        return measures.mutual_information(c_l, c_r, c_a)
-    if measure == "MI_n":
-        return measures.mutual_information(c_l, c_r, c_a, n)
-    if measure == "S_n":
-        left = measures.renyi_entropy(c_l, n)
-        right = measures.renyi_entropy(c_r, n)
-        return measures.MeasureResult(
-            value=left.value + right.value,
-            imag_residual=max(left.imag_residual, right.imag_residual),
-            clamped_count=left.clamped_count + right.clamped_count)
-    if measure == "E":
-        return measures.fermionic_negativity(c_a, c_a.n_left)
-    return measures.renyi_negativity_eig(c_a, c_a.n_left, n)
-
-
-def _same_or_new(side: CorrelationMatrix,
-                 previous: CorrelationMatrix) -> CorrelationMatrix:
-    """``previous`` if its matrix equals ``side``'s bit for bit, else ``side``.
-
-    Reusing ``previous`` reuses its memoised occupation spectrum.
-    ``np.array_equal`` compares shapes before entries.
-    """
-    return previous if np.array_equal(previous.mat, side.mat) else side
+def _error_text(exc: NesscorrError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _numeric_measures(cfg: ExperimentConfig, g: Geometry,
@@ -158,41 +164,22 @@ def _numeric_measures(cfg: ExperimentConfig, g: Geometry,
 
     Returns the results and the point's (C_L, C_R).  A side block equal
     to its counterpart in ``previous``, the (C_L, C_R) of an earlier
-    point, is replaced by it, so its spectrum is not computed again.
+    point, is replaced by it, so its memoised spectrum is reused.
     A measure that raises maps to the text of its error, so the other
     measures of the point keep their values; a failed build of C_A raises.
     """
     c_a = build_corr_matrix(cfg.model, cfg.bias, g, "A", cfg.mode, cache)
     c_l, c_r = c_a.blocks()
-    if previous is not None:
-        c_l, c_r = _same_or_new(c_l, previous[0]), _same_or_new(c_r, previous[1])
+    if previous is not None:  # array_equal compares shapes before entries
+        c_l, c_r = (old if np.array_equal(old.mat, new.mat) else new
+                    for new, old in zip((c_l, c_r), previous))
     out: dict = {}
     for measure, n in _measure_keys(cfg):
         try:
-            out[(measure, n)] = _numeric_measure(c_a, c_l, c_r, measure, int(n))
+            out[(measure, n)] = MEASURES[measure].numeric(c_a, c_l, c_r, int(n))
         except NesscorrError as exc:
-            out[(measure, n)] = f"{type(exc).__name__}: {exc}"
+            out[(measure, n)] = _error_text(exc)
     return out, (c_l, c_r)
-
-
-def _analytic_prediction(cfg: ExperimentConfig, g: Geometry, measure: str,
-                         n: float) -> asymptotics.AsymptoticPrediction:
-    if measure == "MI":
-        return asymptotics.vn_mi_asym(cfg.model, cfg.bias, g)
-    if measure == "MI_n":
-        return asymptotics.renyi_mi_asym(cfg.model, cfg.bias, g, n)
-    if measure == "S_n":
-        left = asymptotics.single_interval_entropy_asym(cfg.model, cfg.bias, g, "L", n)
-        right = asymptotics.single_interval_entropy_asym(cfg.model, cfg.bias, g, "R", n)
-        return asymptotics.AsymptoticPrediction(
-            linear_coeff=left.linear_coeff,
-            linear_length=float(g.ell_l + g.ell_r),
-            log_terms=left.log_terms + right.log_terms)
-    if measure == "E":
-        return asymptotics.negativity_asym_symmetric(cfg.model, cfg.bias, g)
-    if measure == "E_n":
-        return asymptotics.negativity_asym_symmetric(cfg.model, cfg.bias, g, int(n))
-    raise ConfigError(f"unknown measure {measure!r}")
 
 
 def fit_constant(numeric, analytic_no_const, window) -> tuple[float, float]:
@@ -210,73 +197,50 @@ def fit_constant(numeric, analytic_no_const, window) -> tuple[float, float]:
     return constant, rms
 
 
-def _fit_indices(cfg: ExperimentConfig, count: int) -> list[int]:
-    if cfg.fit_window == "all":
-        return list(range(count))
-    return list(range(count // 2, count))
-
-
 def run_scan(cfg: ExperimentConfig) -> list[ScanRow]:
     """Execute a scan; failed grid points are recorded, not fatal."""
-    grid = list(cfg.scan_values)
-    per_point: list[dict | None] = []
-    errors: list[str | None] = []
+    keys = _measure_keys(cfg)
+    series: dict = {key: [] for key in keys}
     entry_cache: dict = {}  # window integrals shared across the grid
     sides = None  # the last point's (C_L, C_R), for _numeric_measures to reuse
-    for value in grid:
+    for value in cfg.scan_values:
         g = geometry_at(cfg, value)
+        diffs = asymptotics.edge_differences(g)
+        degenerate = any(0 < abs(d) <= cfg.degeneracy_radius for d in diffs)
         if sides is not None and (sides[0].dim, sides[1].dim) != (g.ell_l, g.ell_r):
             sides = None  # a length scan: no side can match; free the old C_A first
         try:
             point, sides = _numeric_measures(cfg, g, entry_cache, sides)
-            per_point.append(point)
-            errors.append(None)
         except NesscorrError as exc:
-            per_point.append(None)
-            errors.append(f"{type(exc).__name__}: {exc}")
-
-    rows: list[ScanRow] = []
-    for measure, n in _measure_keys(cfg):
-        numeric, lin, log, measured = {}, {}, {}, {}
-        point_error: dict[int, str] = {}
-        for i, value in enumerate(grid):
-            g = geometry_at(cfg, value)
-            if errors[i] is not None:
-                point_error[i] = errors[i]
-                continue
-            if isinstance(per_point[i][(measure, n)], str):
-                point_error[i] = per_point[i][(measure, n)]
+            point = dict.fromkeys(keys, _error_text(exc))
+        for (measure, n), measured in point.items():
+            row = ScanRow(value, measure, n, np.nan, np.nan, np.nan, np.nan, np.nan,
+                          degenerate, exact_zero=0 in diffs)
+            series[(measure, n)].append(row)
+            if isinstance(measured, str):
+                row.error = measured
                 continue
             try:
-                pred = _analytic_prediction(cfg, g, measure, n)
+                pred = MEASURES[measure].closed_form(cfg.model, cfg.bias, g, n)
             except NesscorrError as exc:
-                point_error[i] = f"{type(exc).__name__}: {exc}"
+                row.error = _error_text(exc)
                 continue
-            measured[i] = per_point[i][(measure, n)]
-            numeric[i] = measured[i].value
-            lin[i] = pred.linear_part
-            log[i] = pred.log_part
-        window = [i for i in _fit_indices(cfg, len(grid)) if i in numeric]
-        if window:
-            const, _ = fit_constant(numeric, {i: lin[i] + log[i] for i in numeric},
-                                    window)
-        else:
-            const = 0.0
-        for i, value in enumerate(grid):
-            g = geometry_at(cfg, value)
-            degenerate, exact_zero = _degeneracy(g, cfg.degeneracy_radius)
-            if i in point_error:
-                rows.append(ScanRow(value, measure, n, np.nan, np.nan, np.nan,
-                                    np.nan, np.nan, degenerate, point_error[i],
-                                    exact_zero=exact_zero))
-                continue
-            resid = numeric[i] - lin[i] - log[i] - const
-            rows.append(ScanRow(value, measure, n, numeric[i], lin[i], log[i],
-                                const, resid, degenerate,
-                                clamped_count=measured[i].clamped_count,
-                                imag_residual=measured[i].imag_residual,
-                                exact_zero=exact_zero))
-    return rows
+            row.numeric, row.lin_term, row.log_term = (
+                measured.value, pred.linear_part, pred.log_part)
+            row.clamped_count = measured.clamped_count
+            row.imag_residual = measured.imag_residual
+
+    first = 0 if cfg.fit_window == "all" else len(cfg.scan_values) // 2
+    for rows in series.values():
+        window = [i for i in range(first, len(rows)) if rows[i].error is None]
+        const = fit_constant([r.numeric for r in rows],
+                             [r.lin_term + r.log_term for r in rows],
+                             window)[0] if window else 0.0
+        for r in rows:
+            if r.error is None:
+                r.const_fit = const
+                r.residual = r.numeric - r.lin_term - r.log_term - const
+    return [r for key in keys for r in series[key]]
 
 
 CSV_HEADER = ("scan_value", "measure", "n", "numeric", "lin_term", "log_term",
@@ -445,8 +409,16 @@ def _int_list(value: str) -> tuple[int, ...]:
     return tuple(int(x) for x in value.split(","))
 
 
+CONFIG_KEYS = frozenset("""
+    model.kind model.eps0 model.eta model.transmission
+    bias.kf_l bias.kf_r bias.mu_l bias.mu_r bias.eta
+    geometry.m0 geometry.d_l geometry.ell_l geometry.d_r geometry.ell_r
+    scan.variable scan.values scan.ell_r_ratio scan.offset_ratio
+    measures n_values mode fit.window fit.degeneracy_radius output.csv""".split())
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse a flat key=value experiment configuration.
+    """Parse a flat key=value experiment configuration; unknown keys raise.
 
     Keys (defaults in brackets):
       model.kind            single_site | constant_s
@@ -467,6 +439,9 @@ def parse_config(text: str) -> ExperimentConfig:
       output.csv            path for the scan CSV [none]
     """
     kv = _parse_kv(text)
+    unknown = sorted(set(kv) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
 
     def need(key):
         if key not in kv:
@@ -525,11 +500,11 @@ def measure_point(cfg: ExperimentConfig) -> dict:
         else:
             record = {"numeric": measured.value}
         try:
-            pred = _analytic_prediction(cfg, g, measure, n)
+            pred = MEASURES[measure].closed_form(cfg.model, cfg.bias, g, n)
             record["lin_term"] = pred.linear_part
             record["log_term"] = pred.log_part
         except NesscorrError as exc:
-            record["analytic_error"] = f"{type(exc).__name__}: {exc}"
+            record["analytic_error"] = _error_text(exc)
         result[f"{measure}[n={n:g}]"] = record
     ell_mirror, dl_l, dl_r = mirror_overlap(g)
     return {"geometry": {"ell_mirror": ell_mirror, "delta_ell_l": dl_l,

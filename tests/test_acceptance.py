@@ -209,10 +209,10 @@ def test_criterion_4_symmetric_scaling_reproduction():
                 deviation["MI2"].append(numeric["MI2"] - renyi_mi_asym(
                     model, BIAS, g, 2).total())
                 deviation["E"].append(numeric["E"] - negativity_asym_symmetric(
-                    model, BIAS, ell).total())
+                    model, BIAS, g).total())
                 deviation["E4"].append(
                     numeric["E4"] - negativity_asym_symmetric(
-                        model, BIAS, ell, 4).total())
+                        model, BIAS, g, 4).total())
             for name, dev in deviation.items():
                 smooth[name][ell0], amplitude[name][ell0] = \
                     _split_oscillation(ells, dev, OSC_OMEGA)

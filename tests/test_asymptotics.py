@@ -291,18 +291,20 @@ class TestNegativityAsymptotics:
     def test_symmetric_log_coefficient_trivial_impurity(self):
         model = ConstantS.beamsplitter(1.0)
         for n in (2, 4):
-            p = negativity_asym_symmetric(model, BIAS, 64, n)
+            p = negativity_asym_symmetric(model, BIAS, Geometry(0, 0, 64, 0, 64), n)
             want = (-n / 4 + 2 * q_n(1.0, n / 2) + 2 * q_n(0.0, n / 2))
             assert p.log_terms[0][0] == pytest.approx(want, abs=1e-10)
             # the separable identity fixes the same coefficient
             assert want == pytest.approx((1 - n) * (1 + n) / (3 * n), abs=1e-9)
 
     def test_vn_flavor_trivial_impurity_vanishes(self):
-        p = negativity_asym_symmetric(ConstantS.beamsplitter(1.0), BIAS, 64)
+        p = negativity_asym_symmetric(ConstantS.beamsplitter(1.0), BIAS,
+                                      Geometry(0, 0, 64, 0, 64))
         assert p.total() == pytest.approx(0.0, abs=1e-9)
 
     def test_vn_flavor_linear_coefficient(self):
-        p = negativity_asym_symmetric(ConstantS.beamsplitter(0.5), BIAS, 64)
+        p = negativity_asym_symmetric(ConstantS.beamsplitter(0.5), BIAS,
+                                      Geometry(0, 0, 64, 0, 64))
         assert p.linear_coeff == pytest.approx(0.2 / np.pi * 0.5 * np.log(2),
                                                abs=1e-10)
 
@@ -318,4 +320,5 @@ class TestNegativityAsymptotics:
 
     def test_zero_bias_refused(self):
         with pytest.raises(BiasError):
-            negativity_asym_symmetric(SingleSite(eps0=1.0), NO_BIAS, 16, 2)
+            negativity_asym_symmetric(SingleSite(eps0=1.0), NO_BIAS,
+                                      Geometry(0, 0, 16, 0, 16), 2)

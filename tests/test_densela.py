@@ -90,6 +90,18 @@ class TestHermEigvals:
             herm_eigvals(m)
         assert err.value.max_deviation == pytest.approx(1e-5, rel=1e-3)
 
+    def test_tolerance_applies_to_a_matrix_that_is_not_exactly_hermitian(self):
+        rng = np.random.default_rng(5)
+        h = random_hermitian(6, rng)
+        near = h.copy()
+        near[4, 1] += 5e-11
+        np.testing.assert_allclose(herm_eigvals(near), herm_eigvals(h), atol=1e-10)
+        far = h.copy()
+        far[4, 1] += 1e-9
+        with pytest.raises(SymmetryError) as err:
+            herm_eigvals(far)
+        assert err.value.max_deviation == pytest.approx(1e-9, rel=1e-6)
+
     def test_rejects_nan(self):
         with pytest.raises(DimensionError):
             herm_eigvals([[np.nan, 0], [0, 1]])

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import nesscorr.harness as harness_module
+from nesscorr import asymptotics, measures
 from nesscorr.cli import main
-from nesscorr.errors import BranchError, ConfigError
+from nesscorr.errors import BranchError, ConfigError, SpectrumError
 from nesscorr.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -28,6 +29,18 @@ from nesscorr.harness import (
 from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
 
 BIAS = BiasConfig.from_fermi_momenta(np.pi / 2 + 0.2, np.pi / 2)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ALL_MEASURES = ("S_n", "MI_n", "MI", "E_n", "E")
+
+# each measure's numeric route in nesscorr.measures and closed form in
+# nesscorr.asymptotics, with their calls per grid point
+LAYER_FUNCTIONS = {
+    "S_n": ("renyi_entropy", "single_interval_entropy_asym", 2),
+    "MI_n": ("mutual_information", "renyi_mi_asym", 1),
+    "MI": ("mutual_information", "vn_mi_asym", 1),
+    "E_n": ("renyi_negativity_eig", "negativity_asym_symmetric", 1),
+    "E": ("fermionic_negativity", "negativity_asym_symmetric", 1),
+}
 
 
 def small_config(**overrides):
@@ -200,6 +213,71 @@ class TestRunScan:
         assert mi == [(r.scan_value, r.numeric) for r in clean if r.measure == "MI"]
         assert scan_summary(rows)["failed_rows"] == 1
 
+    def test_failed_build_fails_every_row_of_its_point(self, monkeypatch):
+        cfg = small_config(model=SingleSite(eps0=1.0), measures=ALL_MEASURES,
+                           n_values=(2, 4), scan_values=(4, 6, 8, 10, 12, 14))
+        clean = run_scan(cfg)
+        real_build = harness_module.build_corr_matrix
+
+        def failing_at_12(model, bias, g, *args):
+            if g.ell_l == 12:
+                raise SpectrumError("injected")
+            return real_build(model, bias, g, *args)
+
+        monkeypatch.setattr(harness_module, "build_corr_matrix", failing_at_12)
+        rows = run_scan(cfg)
+        assert [(r.scan_value, r.measure, r.n) for r in rows] == [
+            (r.scan_value, r.measure, r.n) for r in clean]
+        for r, c in zip(rows, clean):
+            if r.scan_value == 12:
+                assert r.error == "SpectrumError: injected"
+                assert all(np.isnan(x) for x in (r.numeric, r.lin_term, r.log_term,
+                                                  r.const_fit, r.residual))
+                continue
+            assert r.error is None
+            assert r.numeric == c.numeric
+        # upper-half window {10, 12, 14}: the constant is the mean over 10 and 14
+        for key in harness_module._measure_keys(cfg):
+            series = [r for r in rows if (r.measure, r.n) == key]
+            window = [r for r in series if r.scan_value in (10, 14)]
+            want = np.mean([r.numeric - (r.lin_term + r.log_term) for r in window])
+            for r in series:
+                if r.error is None:
+                    assert r.const_fit == pytest.approx(want, rel=1e-12, abs=1e-14)
+                    assert r.residual == r.numeric - r.lin_term - r.log_term - r.const_fit
+        assert scan_summary(rows)["failed_rows"] == 8  # S_n, MI_n, E_n at 2 and 4; MI; E
+
+    @pytest.mark.parametrize("measure", ALL_MEASURES)
+    def test_routes_call_the_layer_module_attributes(self, monkeypatch, measure):
+        # patched module attributes are what a tracer sees: the measure
+        # table must reach its layer functions through them
+        numeric_name, closed_name, per_point = LAYER_FUNCTIONS[measure]
+        calls = {numeric_name: [], closed_name: []}
+        for module, name in ((measures, numeric_name), (asymptotics, closed_name)):
+            real = getattr(module, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls[_name].append(args[-1])
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        cfg = small_config(model=SingleSite(eps0=1.0), measures=(measure,),
+                           geometry=Geometry(0, 2, 8, 2, 8))
+        rows = run_scan(cfg)
+        assert all(r.error is None for r in rows)
+        points = len(cfg.scan_values)
+        assert len(calls[numeric_name]) == len(calls[closed_name]) == per_point * points
+        if measure not in ("MI", "E"):
+            # numeric routes take an int n; E_n's closed form too, the others a float
+            assert {type(n) for n in calls[numeric_name]} == {int}
+            want = int if measure == "E_n" else float
+            assert {type(n) for n in calls[closed_name]} == {want}
+        for log in calls.values():
+            log.clear()
+        out = measure_point(cfg)["measures"]
+        assert "numeric" in out[f"{measure}[n={rows[0].n:g}]"]
+        assert len(calls[numeric_name]) == len(calls[closed_name]) == per_point
+
     def test_csv_header_and_digits(self):
         rows = run_scan(small_config())
         lines = rows_to_csv(rows).splitlines()
@@ -335,6 +413,26 @@ class TestConfigParsing:
             "n_values = 2", "n_values = 3")
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    def test_unknown_key_rejected(self):
+        for typo in ("mod = full", "fit.windw = all"):
+            with pytest.raises(ConfigError, match=typo.split(" =")[0]):
+                parse_config(CONFIG_TEXT + typo + "\n")
+
+    def test_committed_configs_parse(self):
+        names = sorted(os.listdir(os.path.join(ROOT, "configs")))
+        assert names
+        for name in names:
+            with open(os.path.join(ROOT, "configs", name)) as fh:
+                assert parse_config(fh.read()).scan_values
+
+    def test_known_keys_are_the_readme_schema(self):
+        with open(os.path.join(ROOT, "README.md")) as fh:
+            readme = fh.read()
+        table = readme.split("## Configuration schema", 1)[1].split("\n\n")[2]
+        keys = {key for line in table.splitlines()[2:]
+                for key in line.split("|")[1].replace("`", "").replace(",", " ").split()}
+        assert keys == harness_module.CONFIG_KEYS
 
     def test_mu_based_bias(self):
         text = CONFIG_TEXT.replace(
