@@ -7,6 +7,7 @@ least one scan row or measured value.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 
 from . import harness
@@ -45,6 +46,8 @@ def _cmd_scan(args) -> int:
     else:
         sys.stdout.write(csv_text)
     summary = harness.scan_summary(rows)
+    # ru_maxrss is in KiB on Linux: the process's peak resident set so far
+    summary["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(harness.to_json(summary), file=sys.stderr)
     return 2 if summary["failed_rows"] else 0
 

@@ -107,6 +107,13 @@ class ExperimentConfig:
             raise ConfigError("scan grid must be nonempty")
         if any(b <= a for a, b in zip(self.scan_values, self.scan_values[1:])):
             raise ConfigError("scan grid must be strictly increasing")
+        for label, values in (("measure", self.measures),
+                              ("Renyi index", self.n_values)):
+            repeated = sorted({v for v in values if values.count(v) > 1}, key=values.index)
+            if repeated:
+                raise ConfigError(
+                    f"repeated {label} {', '.join(map(str, repeated))}: "
+                    "each would emit its series twice")
         for m in self.measures:
             if m not in MEASURES:
                 raise ConfigError(f"unknown measure {m!r}")

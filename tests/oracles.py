@@ -5,7 +5,9 @@ algorithm from the production Gauss-Legendre path, for integrands with
 endpoint singularities.  ``q_n_singular_form`` and
 ``q_tilde_n_singular_form`` evaluate Q_n and Qt_n from their
 representations with integrable endpoint singularities, disjoint from the
-smooth forms ``nesscorr.asymptotics`` evaluates.
+smooth forms ``nesscorr.asymptotics`` evaluates.  ``c_xi_expression``
+is the plain-expression form of the partial-time-reversal matrix that
+``nesscorr.measures.build_c_xi`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -112,3 +114,19 @@ def q_tilde_n_singular_form(t: float, n: float) -> float:
     # -H(min, max) in the ascending-endpoint convention of the helper
     lo, hi = (r, t) if t > r else (t, r)
     return base - n / (2.0 * np.pi ** 2) * _log_ratio_integral(lo, hi, n)
+
+
+def c_xi_expression(mat: np.ndarray, size_left: int) -> np.ndarray:
+    """C_Xi = [I - (I + Gp Gm)^(-1) (Gp + Gm)] / 2 as one plain expression.
+
+    Gp = D (I - 2C) D with D = diag(i, ..., i, 1, ..., 1) (``size_left``
+    entries i) and Gm = Gp^dagger; every temporary is a fresh array.
+    """
+    n = mat.shape[0]
+    g = np.eye(n) - 2.0 * mat
+    d = np.concatenate([1j * np.ones(size_left), np.ones(n - size_left)])
+    gamma_p = (d[:, None] * g) * d[None, :]
+    gamma_m = gamma_p.conj().T
+    lhs = np.eye(n) + gamma_p @ gamma_m
+    x = np.linalg.solve(lhs, gamma_p + gamma_m)
+    return 0.5 * (np.eye(n) - x)

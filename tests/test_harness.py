@@ -414,6 +414,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    def test_repeated_measure_rejected(self):
+        with pytest.raises(ConfigError, match="repeated measure MI:"):
+            parse_config(CONFIG_TEXT.replace("MI,MI_n", "MI,MI_n,MI"))
+
+    def test_repeated_renyi_index_rejected(self):
+        with pytest.raises(ConfigError, match="repeated Renyi index 2:"):
+            parse_config(CONFIG_TEXT.replace("n_values = 2", "n_values = 2,3,2"))
+
     def test_unknown_key_rejected(self):
         for typo in ("mod = full", "fit.windw = all"):
             with pytest.raises(ConfigError, match=typo.split(" =")[0]):
@@ -495,6 +503,8 @@ class TestCli:
         assert len(lines) == 1 + 2 * 3
         summary = json.loads(captured.err)
         assert summary["failed_rows"] == 0
+        # the process's peak resident set in MB, at least what Python holds
+        assert 1.0 < summary["peak_rss_mb"] < 1e5
 
     def test_measure_json(self, tmp_path, capsys):
         cfg_file = tmp_path / "point.cfg"

@@ -1,9 +1,12 @@
 """Spectral measures: scalar oracles, route equivalence, vanishing theorems."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nesscorr.correlation import CorrelationMatrix, build_corr_matrix
+from nesscorr.densela import lu_logdet
 from nesscorr.errors import DimensionError, DomainError, SpectrumError
 from nesscorr.measures import (
     build_c_xi,
@@ -15,6 +18,7 @@ from nesscorr.measures import (
     vn_entropy,
 )
 from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
+from oracles import c_xi_expression
 
 BIAS = BiasConfig.from_fermi_momenta(np.pi / 2 + 0.2, np.pi / 2)
 
@@ -136,8 +140,49 @@ class TestCXi:
         assert np.max(np.abs(xi.imag)) <= 1e-10
         assert xi.real.min() >= -1e-10 and xi.real.max() <= 1 + 1e-10
 
+    @pytest.mark.parametrize("ell", [6, 40])
+    @pytest.mark.parametrize("model", [
+        SingleSite(1.0, 1.0), ConstantS.beamsplitter(0.0),
+        ConstantS.beamsplitter(0.5), ConstantS.beamsplitter(1.0),
+    ])
+    def test_in_place_build_is_bit_identical_to_the_expression(self, model, ell):
+        # T = 0 and 1 make the left-right blocks exactly zero; every byte,
+        # signs of zero included, must match the plain expression
+        c = built_union(model, ell_l=ell, ell_r=ell)
+        for size_left in (0, c.n_left, c.dim):
+            got = build_c_xi(c, size_left)
+            assert got.dtype == np.complex128 and got.flags.c_contiguous
+            assert got.tobytes() == c_xi_expression(c.mat, size_left).tobytes()
+
+    def test_working_set_at_dim_512(self):
+        c = built_union(ConstantS.beamsplitter(0.5), ell_l=256, ell_r=256,
+                        d_l=0, d_r=0)
+        assert c.dim == 512
+        tracemalloc.start()
+        try:
+            build_c_xi(c, c.n_left)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the plain expression peaks near 6.5 complex n x n arrays
+        assert peak <= 4 * c.dim ** 2 * 16
+
 
 class TestNegativities:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_det_route_is_bit_identical_to_fresh_factors(self, n):
+        c_a = built_union(SingleSite(eps0=1.0), ell_l=7, ell_r=9, d_l=6, d_r=2)
+        dim, size_left = c_a.dim, c_a.n_left
+        total = 0j
+        for gamma in np.arange(n) - (n - 1) / 2.0:
+            phase = np.exp(2j * np.pi * gamma / n)
+            scale = np.concatenate([
+                (1.0 - phase) * np.ones(size_left),
+                (1.0 + 1.0 / phase) * np.ones(dim - size_left)])
+            total += lu_logdet(np.eye(dim) - scale[:, None] * c_a.mat)
+        got = renyi_negativity_det(c_a, size_left, n)
+        assert (got.value, got.imag_residual) == (total.real, abs(total.imag))
+
     def test_block_diagonal_negativity_vanishes(self):
         rng = np.random.default_rng(1)
         occ = rng.uniform(0.05, 0.95, 6)
