@@ -2,9 +2,10 @@
 
 The heavy lifting (Hermitian eigenvalues, general eigenvalues via
 Hessenberg reduction plus shifted QR, LU factorization) is delegated to
-LAPACK through numpy/scipy; this module owns the input validation, the
-error taxonomy and the log-determinant phase bookkeeping.  Matrices are
-plain ``numpy.ndarray`` of complex128, validated by :func:`as_matrix`.
+LAPACK through ``numpy.linalg`` alone: the package needs no other
+numerical library at run time.  This module owns the input validation,
+the error taxonomy and the log-determinant phase bookkeeping.  Matrices
+are plain ``numpy.ndarray`` of complex128, validated by :func:`as_matrix`.
 It also owns the one Toeplitz fill (:func:`toeplitz`) that every
 scalar and block Toeplitz builder of the package goes through.
 """
@@ -12,12 +13,11 @@ scalar and block Toeplitz builder of the package goes through.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, DimensionError, SingularMatrixError, SymmetryError
 
 HERMITICITY_TOL = 1e-10
-PIVOT_FLOOR = 1e-300
+_HERMITICITY_BLOCK = 64
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -64,12 +64,15 @@ def herm_eigvals(m) -> np.ndarray:
 
     Hermiticity is checked, never silently repaired: an asymmetric
     correlation matrix signals a bug in whatever built it.  The exact
-    test allocates nothing; only a matrix that fails it pays for the
-    n x n temporaries of max |m - m^dagger|, which may still be within
-    ``HERMITICITY_TOL``.
+    test compares one block of 64 rows with the conjugate of the matching
+    columns at a time, so its temporaries are 64 x n, never n x n; only a
+    matrix that fails it pays for the n x n temporaries of
+    max |m - m^dagger|, which may still be within ``HERMITICITY_TOL``.
     """
     m = _require_square(m)
-    if not scipy.linalg.ishermitian(m):
+    b = _HERMITICITY_BLOCK
+    if not all(np.array_equal(m[i:i + b], m[:, i:i + b].conj().T)
+               for i in range(0, m.shape[0], b)):
         dev = np.max(np.abs(m - m.conj().T))
         if dev > HERMITICITY_TOL:
             raise SymmetryError(
@@ -91,25 +94,50 @@ def gen_eigvals(m) -> np.ndarray:
         raise ConvergenceError(f"eigenvalue QR iteration failed: {exc}") from exc
 
 
+def _first_dependent_column(m: np.ndarray) -> int:
+    """Index of the first column of a singular ``m`` that is a linear
+    combination of the columns before it.
+
+    In exact arithmetic this is where LU with partial pivoting meets its
+    first zero pivot (LAPACK's ``info - 1``).  Found by bisection over the
+    leading column blocks with ``np.linalg.matrix_rank`` at its default
+    tolerance, so a leading block that is only numerically rank deficient
+    (condition number near 1/eps) names an earlier column.  The last
+    column is taken as dependent without a test, because ``m`` is singular.
+    """
+    lo, hi = 0, m.shape[1]   # m[:, :lo] has full column rank, m[:, :hi] not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if np.linalg.matrix_rank(m[:, :mid]) < mid:
+            hi = mid
+        else:
+            lo = mid
+    return hi - 1
+
+
 def lu_logdet(m) -> complex:
     """log(det(m)) from an LU factorization with partial pivoting.
 
-    The real part is exactly ``log |det m|``; the imaginary part carries
-    the accumulated pivot phases plus the permutation sign, folded into
-    (-pi, pi].
+    ``np.linalg.slogdet`` factors ``m`` (LAPACK zgetrf).  The real part is
+    its ``log |det m|``.  The imaginary part is the angle of its
+    unit-modulus sign (the product of the pivot phases and the permutation
+    sign), in (-pi, pi]: an angle of -pi is folded to +pi.
+
+    ``m`` is singular, and ``SingularMatrixError`` is raised, exactly when
+    the factorization meets a pivot that is exactly zero.  Its
+    ``pivot_index`` is the first column of ``m`` that depends linearly on
+    the columns before it, computed only on this error path.  No pivot
+    floor applies: any nonzero pivot, however small (1e-305, say), gives a
+    finite log-determinant.
     """
     m = _require_square(m)
-    lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    diag = np.diag(lu)
-    small = np.abs(diag) <= PIVOT_FLOOR
-    if np.any(small):
-        idx = int(np.argmax(small))
+    sign, log_abs = np.linalg.slogdet(m)
+    if sign == 0 or log_abs == -np.inf:
+        idx = _first_dependent_column(m)
         raise SingularMatrixError(
-            f"singular pivot {diag[idx]!r} at index {idx}", pivot_index=idx)
-    log_abs = float(np.sum(np.log(np.abs(diag))))
-    swaps = int(np.sum(piv != np.arange(len(piv))))
-    phase = float(np.sum(np.angle(diag))) + np.pi * (swaps % 2)
-    phase = (phase + np.pi) % (2.0 * np.pi) - np.pi
+            f"singular matrix: an exactly zero pivot; column {idx} depends "
+            f"linearly on the columns before it", pivot_index=idx)
+    phase = float(np.angle(sign))
     if phase == -np.pi:  # keep the principal branch convention (-pi, pi]
         phase = np.pi
-    return complex(log_abs, phase)
+    return complex(float(log_abs), phase)

@@ -22,7 +22,7 @@ class ConvergenceError(NesscorrError, RuntimeError):
 
 
 class SingularMatrixError(NesscorrError, ValueError):
-    """A matrix factorization hit a (near-)zero pivot."""
+    """A matrix factorization hit an exactly zero pivot."""
 
     def __init__(self, message, pivot_index=None):
         super().__init__(message)

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .correlation import CorrelationMatrix
 from .densela import gen_eigvals, herm_eigvals, lu_logdet
@@ -75,9 +74,14 @@ def renyi_entropy(c: CorrelationMatrix, n: float) -> MeasureResult:
     return MeasureResult(value=value, clamped_count=clamped)
 
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x ln x elementwise for x >= 0, with the limit 0 at x = 0."""
+    return x * np.log(x, out=np.zeros_like(x), where=x > 0)
+
+
 def vn_entropy(c: CorrelationMatrix) -> MeasureResult:
     lam, clamped = _occupation_spectrum(c)
-    value = float(np.sum(-xlogy(lam, lam) - xlogy(1.0 - lam, 1.0 - lam)))
+    value = float(np.sum(-_xlogx(lam) - _xlogx(1.0 - lam)))
     return MeasureResult(value=value, clamped_count=clamped)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .errors import ConvergenceError
 
@@ -31,7 +32,7 @@ _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     rule = _GL_CACHE.get(order)
     if rule is None:
-        rule = np.polynomial.legendre.leggauss(order)
+        rule = legendre.leggauss(order)
         _GL_CACHE[order] = rule
     return rule
 

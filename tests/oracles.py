@@ -8,13 +8,18 @@ representations with integrable endpoint singularities, disjoint from the
 smooth forms ``nesscorr.asymptotics`` evaluates.  ``c_xi_expression``
 is the plain-expression form of the partial-time-reversal matrix that
 ``nesscorr.measures.build_c_xi`` must reproduce bit for bit.
+``lu_factor_logdet`` takes log det from scipy's LU factorization, a
+LAPACK build apart from the one ``nesscorr.densela.lu_logdet`` calls
+through numpy; scipy is a test dependency only.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
+import scipy.linalg
 
 
 def tanh_sinh(f, a: float, b: float, tol: float = 1e-12,
@@ -130,3 +135,26 @@ def c_xi_expression(mat: np.ndarray, size_left: int) -> np.ndarray:
     lhs = np.eye(n) + gamma_p @ gamma_m
     x = np.linalg.solve(lhs, gamma_p + gamma_m)
     return 0.5 * (np.eye(n) - x)
+
+
+def lu_factor_logdet(m: np.ndarray) -> tuple[complex | None, int | None]:
+    """log det m from ``scipy.linalg.lu_factor`` (partial pivoting).
+
+    Returns ``(logdet, zero_pivot)``.  If a pivot is exactly zero,
+    ``zero_pivot`` is the first such index and ``logdet`` is None.
+    Otherwise ``logdet`` has the real part sum ln|u_kk| and the phase
+    sum arg u_kk + pi per row swap, folded into (-pi, pi].
+    """
+    with warnings.catch_warnings():   # scipy warns on an exact zero pivot
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
+    diag = np.diag(lu)
+    zero = np.flatnonzero(diag == 0)
+    if zero.size:
+        return None, int(zero[0])
+    swaps = int(np.sum(piv != np.arange(len(piv))))
+    phase = float(np.sum(np.angle(diag))) + np.pi * (swaps % 2)
+    phase = (phase + np.pi) % (2.0 * np.pi) - np.pi
+    if phase == -np.pi:
+        phase = np.pi
+    return complex(float(np.sum(np.log(np.abs(diag)))), phase), None

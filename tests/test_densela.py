@@ -1,9 +1,13 @@
 """Kernels of the dense linear algebra layer against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import lu_factor_logdet
 
-from nesscorr.densela import as_matrix, gen_eigvals, herm_eigvals, lu_logdet, toeplitz
+from nesscorr.densela import (HERMITICITY_TOL, as_matrix, gen_eigvals, herm_eigvals,
+                              lu_logdet, toeplitz)
 from nesscorr.errors import DimensionError, SingularMatrixError, SymmetryError
 
 
@@ -106,6 +110,34 @@ class TestHermEigvals:
         with pytest.raises(DimensionError):
             herm_eigvals([[np.nan, 0], [0, 1]])
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("delta", [0.0, 3e-11, 1e-9])
+    def test_blockwise_check_matches_full_matrix_formula(self, n, delta):
+        # one asymmetric entry in the last row block (the diagonal at n = 1)
+        h = random_hermitian(n, np.random.default_rng(n))
+        h[n - 1, 0] += 1j * delta if n == 1 else delta
+        exact = np.array_equal(h, h.conj().T)
+        dev = np.max(np.abs(h - h.conj().T))
+        assert exact == (delta == 0.0)
+        if dev > HERMITICITY_TOL:
+            with pytest.raises(SymmetryError) as err:
+                herm_eigvals(h)
+            assert err.value.max_deviation == float(dev)
+        else:
+            assert np.array_equal(herm_eigvals(h), np.linalg.eigvalsh(h))
+
+    def test_exact_check_holds_no_n_by_n_temporary(self, monkeypatch):
+        n = 512
+        h = random_hermitian(n, np.random.default_rng(0))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: None)
+        tracemalloc.start()
+        try:
+            herm_eigvals(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * n * n * h.itemsize
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_trace_and_frobenius_sums(self, seed):
         rng = np.random.default_rng(seed)
@@ -158,7 +190,6 @@ class TestLuLogdet:
         expected = cofactor_det(m)
         assert np.exp(lu_logdet(m)) == pytest.approx(expected, rel=1e-8)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_names_pivot(self):
         m = np.zeros((3, 3), dtype=complex)
         m[0, 0] = 1.0
@@ -176,6 +207,67 @@ class TestLuLogdet:
         assert lhs.real == pytest.approx(rhs.real, rel=1e-9, abs=1e-9)
         wrap = (lhs.imag - rhs.imag) / (2 * np.pi)
         assert wrap == pytest.approx(round(wrap), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [5, 17, 64, 300])
+    def test_matches_scipy_lu_oracle_with_pivoting(self, n):
+        rng = np.random.default_rng(100 + n)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        want, zero = lu_factor_logdet(m)
+        assert zero is None
+        got = lu_logdet(m)
+        assert got.real == pytest.approx(want.real, rel=1e-12, abs=1e-12)
+        wrap = (got.imag - want.imag + np.pi) % (2 * np.pi) - np.pi
+        assert abs(wrap) <= 1e-10
+        assert -np.pi < got.imag <= np.pi
+
+    @pytest.mark.parametrize("m", [
+        np.array([[complex(-1.0, -0.0)]]),
+        np.array([[0, complex(0, -1), 0], [0, 0, complex(0, -1)], [1, 0, 0]]),
+        np.diag(np.exp(-0.5j * np.pi * np.ones(2))),
+    ], ids=["minus_one", "pivoted", "two_quarter_turns"])
+    def test_phase_minus_pi_folds_to_pi(self, m):
+        want, _ = lu_factor_logdet(m)
+        assert want.imag == np.pi
+        assert lu_logdet(m).imag == np.pi
+
+    def test_tiny_nonzero_pivot_is_not_singular(self):
+        got = lu_logdet(np.diag([1e-305, 1.0]))
+        assert got == pytest.approx(complex(np.log(1e-305), 0.0), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [6, 65, 200])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_zero_column_pivot_index_matches_oracle(self, n, where):
+        k = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+        rng = np.random.default_rng(n + k)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m[:, k] = 0.0
+        _, zero = lu_factor_logdet(m)
+        assert zero == k
+        with pytest.raises(SingularMatrixError) as err:
+            lu_logdet(m)
+        assert err.value.pivot_index == zero
+
+    @pytest.mark.parametrize("n", [6, 65, 200])
+    @pytest.mark.parametrize("where", ["second", "middle", "last"])
+    def test_duplicate_column_pivot_index_matches_oracle(self, n, where):
+        # m = P L U in dyadic entries, |l| <= 1/2: partial pivoting recovers
+        # P, L and U in exact arithmetic, so u_kk = u_{k,k-1} = 0 is an exact
+        # zero pivot when column k of U repeats column k - 1.  A sparse L and
+        # a dominant diagonal of U keep the columns before k well conditioned
+        # (cond < 1e7), so their numerical rank is their exact rank.
+        k = {"second": 1, "middle": n // 2, "last": n - 1}[where]
+        rng = np.random.default_rng(n + k)
+        lower = np.tril(rng.choice([0, 0, 0, 0, 0.5, -0.5j], (n, n)), -1)
+        upper = np.triu(rng.choice([0, 1, -1, 1j, -1j], (n, n)), 1)
+        upper += np.diag(rng.choice([4, -4, 4j, -4j], n))
+        upper[:, k] = upper[:, k - 1]
+        m = np.eye(n)[rng.permutation(n)] @ (np.eye(n) + lower) @ upper
+        assert np.array_equal(m[:, k], m[:, k - 1])
+        _, zero = lu_factor_logdet(m)
+        assert zero == k
+        with pytest.raises(SingularMatrixError) as err:
+            lu_logdet(m)
+        assert err.value.pivot_index == zero
 
 
 def test_as_matrix_rejects_empty():
