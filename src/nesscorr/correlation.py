@@ -22,18 +22,25 @@ to ``kf_r``).  Two evaluation modes are provided:
 
 Within each built matrix the Hermitian mirror is stored exactly: the
 upper triangle is computed once and conjugated into the lower one.
+
+Quadratures are batched by panel class.  Two integrals on the same
+interval with the same initial panel count are evaluated at the same
+nodes, so each class evaluates its nodes and amplitudes once, and each
+phase shared by several entries once; every entry then gets exactly the
+value of its own adaptive quadrature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .densela import herm_eigvals, toeplitz
 from .errors import DomainError
 from .model import BiasConfig, ConstantS, Geometry, ImpurityModel
-from .quadrature import adaptive_gauss_legendre
+from .quadrature import InitialPanels
 
 ENTRY_TOL = 1e-11
 FULL_TOL = 1e-10
@@ -99,6 +106,19 @@ _WEIGHTS = {
     "R": lambda r_l, t_l, r_r, t_r: np.conj(t_r) * r_r,
 }
 
+# Bit identity with the entry-by-entry quadrature.  Complex products round
+# differently with their operands swapped (the SIMD loop fuses a multiply
+# into an add), and numpy evaluates ``a * b`` as ``b *= a`` when ``b`` is a
+# temporary of at least 256 KiB and ``a`` is not.  So where a per-entry
+# integrand multiplied a fresh factor (a phase, a weight) from the right
+# of an array it kept, the batched code multiplies a fresh array too, even
+# when its values are shared.
+
+
+def _window_values(weight: np.ndarray, k: np.ndarray, freq) -> np.ndarray:
+    # w(k) e^{i freq k} / 2pi with the weight as a fresh operand
+    return np.copy(weight) * np.exp(1j * freq * k) / (2.0 * np.pi)
+
 
 class _WindowIntegrals:
     """Oriented window integrals int_{kf_r}^{kf_l} w(k) e^{i f k} dk/2pi.
@@ -114,30 +134,52 @@ class _WindowIntegrals:
         self.bias = bias
         self.cache = cache if cache is not None else {}
 
-    def __call__(self, kind: str, freq: float) -> complex:
-        key = (kind, freq)
-        value = self.cache.get(key)
-        if value is None:
-            weight = _WEIGHTS[kind]
-            mirror = self.cache.get(("T", -freq)) if kind == "T" else None
-            k1, k2 = self.bias.kf_r, self.bias.kf_l
-            if mirror is not None:
-                value = np.conj(mirror)  # the weight T(k) is real
-            elif isinstance(self.model, ConstantS):
-                amps = (self.model.r_l, self.model.t_l, self.model.r_r,
-                        self.model.t_r)
-                value = weight(*amps) * _phase_integral(freq, k1, k2)
-            elif k1 == k2:
-                value = 0.0
-            else:
-                def f(k):
-                    return (weight(*self.model.amplitudes(k))
-                            * np.exp(1j * freq * k) / (2.0 * np.pi))
+    def __call__(self, kind: str, freqs) -> np.ndarray:
+        """The integrals of one kind at each frequency of ``freqs``, in order.
 
-                value = adaptive_gauss_legendre(f, k1, k2, tol=ENTRY_TOL,
-                                                frequency=abs(freq))
-            self.cache[key] = value
-        return value
+        The values are those of one call per frequency in list order: a
+        ``"T"`` frequency whose negative is known (cached, or earlier in
+        the list) is the conjugate of that value, the weight being real.
+        """
+        cache = self.cache
+        misses, mirrored, seen = [], [], set()
+        for freq in freqs:
+            if (kind, freq) in cache or freq in seen:
+                continue
+            if kind == "T" and (("T", -freq) in cache or -freq in seen):
+                mirrored.append(freq)
+            else:
+                misses.append(freq)
+            seen.add(freq)
+        self._compute(kind, misses)
+        for freq in mirrored:
+            cache[(kind, freq)] = np.conj(cache[(kind, -freq)])
+        return np.array([cache[(kind, freq)] for freq in freqs])
+
+    def _compute(self, kind: str, freqs: list):
+        weight = _WEIGHTS[kind]
+        k1, k2 = self.bias.kf_r, self.bias.kf_l
+        if isinstance(self.model, ConstantS):
+            amps = (self.model.r_l, self.model.t_l, self.model.r_r, self.model.t_r)
+            for freq in freqs:
+                self.cache[(kind, freq)] = weight(*amps) * _phase_integral(freq, k1, k2)
+            return
+        if k1 == k2:
+            self.cache.update(((kind, freq), 0.0) for freq in freqs)
+            return
+        # frequencies with the same initial panel count share the nodes
+        classes: dict = {}
+        for freq, n0 in zip(freqs, InitialPanels.count(abs(k2 - k1), freqs).tolist()):
+            classes.setdefault(n0, []).append(freq)
+        for n0, members in classes.items():
+            panels = InitialPanels(k1, k2, n0, tol=ENTRY_TOL)
+            w = weight(*self.model.amplitudes(panels.nodes))
+            for freq in members:
+                def f(k, freq=freq):
+                    return _window_values(weight(*self.model.amplitudes(k)), k, freq)
+
+                self.cache[(kind, freq)] = panels.integrate(
+                    f, _window_values(w, panels.nodes, freq))
 
 
 def corr_entry_longrange(model: ImpurityModel, bias: BiasConfig,
@@ -149,89 +191,137 @@ def corr_entry_longrange(model: ImpurityModel, bias: BiasConfig,
     win = _WindowIntegrals(model, bias, cache)
     if j > 0 and m > 0:
         delta = j - m
-        return _fermi_kernel(bias.kf_r, delta) + win("T", -delta)
+        return _fermi_kernel(bias.kf_r, delta) + win("T", [-delta])[0]
     if j < 0 and m < 0:
         delta = j - m
-        return _fermi_kernel(bias.kf_l, delta) - win("T", delta)
+        return _fermi_kernel(bias.kf_l, delta) - win("T", [delta])[0]
     if j > 0 and m < 0:
-        return win("L", -(j + m))
-    return -win("R", j + m)
+        return win("L", [-(j + m)])[0]
+    return -win("R", [j + m])[0]
 
 
-def corr_entry_full(model: ImpurityModel, bias: BiasConfig,
-                    j: int, m: int, m0: int = 0) -> complex:
-    """Finite-distance entry <c_j^dag c_m> by direct quadrature.
+# The integrand of one occupied sea takes one of four forms.  With the
+# sea's phase E(y) = e^{-iky} (left sea) or e^{+iky} (right sea), its
+# conjugate E*(y), the sea's amplitudes r, t, D = j - m and S = j + m:
+_NEAR = 0      # j, m on the sea's side:  (E(D) + |r|^2 E*(D) + r E(S) + r* E*(S)) / 2pi
+_FAR = 1       # j, m on the other side:  |t|^2 E(D) / 2pi
+_CROSS_M = 2   # only m on the sea's side: t* (E(D) + r E(S)) / 2pi
+_CROSS_J = 3   # only j on the sea's side: t (E(D) + r* E*(S)) / 2pi
+_TWO_PI = 2.0 * np.pi
+
+
+class _SeaNodes:
+    """The k-dependent factors of one sea's integrands at a node array."""
+
+    def __init__(self, model: ImpurityModel, left: bool, k: np.ndarray):
+        r_l, t_l, r_r, t_r = model.amplitudes(k)
+        self.r, self.t = (r_l, t_l) if left else (r_r, t_r)
+        self.left = left
+        self.mik = -1j * k
+
+    @cached_property
+    def r_abs2(self) -> np.ndarray:
+        return np.abs(self.r) ** 2
+
+    @cached_property
+    def t_abs2(self) -> np.ndarray:
+        return np.abs(self.t) ** 2
+
+    def phase(self, x: np.ndarray) -> np.ndarray:
+        """E(y) as a fresh array, from x = e^{-iky}; conj(x) is e^{+iky}."""
+        return np.copy(x) if self.left else np.conj(x)
+
+    def phase_conj(self, x: np.ndarray) -> np.ndarray:
+        """E*(y), from x = e^{-iky}; it multiplies only fresh or real factors."""
+        return np.conj(x) if self.left else x
+
+    def shared(self, form: int, y) -> tuple:
+        """The factors common to every entry of ``form`` with shared lag y.
+
+        y is S on the same side and D across; it sets the frequency.
+        """
+        if form == _FAR:
+            return ()
+        x = np.exp(self.mik * y)
+        if form == _NEAR:
+            return self.r * self.phase(x), np.conj(self.r) * self.phase_conj(x)
+        return (self.phase(x),)
+
+    def entry(self, form: int, shared: tuple, y) -> np.ndarray:
+        """One entry's integrand at the nodes; y is its own lag (D or S)."""
+        x = np.exp(self.mik * y)
+        if form == _NEAR:
+            r_e, r_conj_e = shared
+            return (self.phase(x) + self.r_abs2 * self.phase_conj(x)
+                    + r_e + r_conj_e) / _TWO_PI
+        if form == _FAR:
+            return self.t_abs2 * self.phase(x) / _TWO_PI
+        (e,) = shared
+        if form == _CROSS_M:
+            return np.conj(self.t) * (e + self.r * self.phase(x)) / _TWO_PI
+        return self.t * (e + np.conj(self.r) * self.phase_conj(x)) / _TWO_PI
+
+
+def _full_sea(model: ImpurityModel, kf: float, left: bool,
+              j: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """One occupied sea's term of every entry (j, m), class by class.
+
+    Entries with the same initial panel count share the nodes and the
+    amplitudes; entries that also share their form and lag (S on the same
+    side, D across) share its phase.
+    """
+    out = np.zeros(j.shape, dtype=complex)
+    if kf == 0.0:
+        return out
+    diff, total = j - m, j + m
+    same = (j < 0) == (m < 0)
+    form = np.where(same, np.where((j < 0) == left, _NEAR, _FAR),
+                    np.where((j < 0) == left, _CROSS_J, _CROSS_M))
+    shared, own = np.where(same, total, diff), np.where(same, diff, total)
+    # |shared| = |j| + |m| = max(|D|, |S|) is the entry's frequency
+    n0 = InitialPanels.count(kf, np.abs(shared))
+    classes: dict = {}
+    for i, (n, key) in enumerate(zip(n0.tolist(), zip(form.tolist(), shared.tolist()))):
+        classes.setdefault(n, {}).setdefault(key, []).append(i)
+    for n, groups in classes.items():
+        _full_sea_class(model, kf, left, n, groups, own, out)
+    return out
+
+
+def _full_sea_class(model, kf, left, n0, groups, own, out):
+    """Fill ``out[i]`` for the entries of one class; its arrays die on return."""
+    panels = InitialPanels(0.0, kf, n0, tol=FULL_TOL)
+    sea = _SeaNodes(model, left, panels.nodes)
+    for (form, y), members in groups.items():
+        shared = sea.shared(form, y)
+        for i in members:
+            def f(k, form=form, y=y, y_own=own[i]):
+                nodes = _SeaNodes(model, left, k)
+                return nodes.entry(form, nodes.shared(form, y), y_own)
+
+            out[i] = panels.integrate(f, sea.entry(form, shared, own[i]))
+
+
+def corr_entry_full(model: ImpurityModel, bias: BiasConfig, j, m,
+                    m0: int = 0):
+    """Finite-distance entries <c_j^dag c_m> by direct quadrature.
 
     Integrates the complete scattering-state products over both occupied
     seas, keeping the reflection cross terms the long-range kernel drops.
+    ``j`` and ``m`` are sites or arrays of sites (broadcast together); the
+    result has their shape.
     """
-    if abs(j) <= m0 or abs(m) <= m0:
+    j, m = np.broadcast_arrays(np.asarray(j, dtype=int), np.asarray(m, dtype=int))
+    inside = (np.abs(j) <= m0) | (np.abs(m) <= m0)
+    if inside.any():
+        p = np.flatnonzero(inside)[0]
         raise DomainError(
-            f"sites ({j}, {m}) must lie outside the impurity region |m| <= {m0}")
-    kf_l, kf_r = bias.kf_l, bias.kf_r
-    freq = max(abs(j - m), abs(j + m), 1)
-
-    def left_sea(f):
-        if kf_l == 0.0:
-            return 0.0
-        return adaptive_gauss_legendre(f, 0.0, kf_l, tol=FULL_TOL, frequency=freq)
-
-    def right_sea(f):
-        if kf_r == 0.0:
-            return 0.0
-        return adaptive_gauss_legendre(f, 0.0, kf_r, tol=FULL_TOL, frequency=freq)
-
-    two_pi = 2.0 * np.pi
-    if j < 0 and m < 0:
-        def fl(k):
-            r_l, t_l, _, _ = model.amplitudes(k)
-            refl = np.abs(r_l) ** 2
-            return (np.exp(-1j * k * (j - m)) + refl * np.exp(1j * k * (j - m))
-                    + r_l * np.exp(-1j * k * (j + m))
-                    + np.conj(r_l) * np.exp(1j * k * (j + m))) / two_pi
-
-        def fr(k):
-            _, _, _, t_r = model.amplitudes(k)
-            return np.abs(t_r) ** 2 * np.exp(1j * k * (j - m)) / two_pi
-
-        return left_sea(fl) + right_sea(fr)
-    if j > 0 and m > 0:
-        def fl(k):
-            _, t_l, _, _ = model.amplitudes(k)
-            return np.abs(t_l) ** 2 * np.exp(-1j * k * (j - m)) / two_pi
-
-        def fr(k):
-            _, _, r_r, _ = model.amplitudes(k)
-            refl = np.abs(r_r) ** 2
-            return (np.exp(1j * k * (j - m)) + refl * np.exp(-1j * k * (j - m))
-                    + r_r * np.exp(1j * k * (j + m))
-                    + np.conj(r_r) * np.exp(-1j * k * (j + m))) / two_pi
-
-        return left_sea(fl) + right_sea(fr)
-    if j > 0 and m < 0:
-        def fl(k):
-            r_l, t_l, _, _ = model.amplitudes(k)
-            return np.conj(t_l) * (np.exp(-1j * k * (j - m))
-                                   + r_l * np.exp(-1j * k * (j + m))) / two_pi
-
-        def fr(k):
-            _, _, r_r, t_r = model.amplitudes(k)
-            return t_r * (np.exp(1j * k * (j - m))
-                          + np.conj(r_r) * np.exp(-1j * k * (j + m))) / two_pi
-
-        return left_sea(fl) + right_sea(fr)
-
-    def fl(k):
-        r_l, t_l, _, _ = model.amplitudes(k)
-        return t_l * (np.exp(-1j * k * (j - m))
-                      + np.conj(r_l) * np.exp(1j * k * (j + m))) / two_pi
-
-    def fr(k):
-        _, _, r_r, t_r = model.amplitudes(k)
-        return np.conj(t_r) * (np.exp(1j * k * (j - m))
-                               + r_r * np.exp(1j * k * (j + m))) / two_pi
-
-    return left_sea(fl) + right_sea(fr)
+            f"sites ({j.flat[p]}, {m.flat[p]}) must lie outside the impurity "
+            f"region |m| <= {m0}")
+    jf, mf = j.ravel(), m.ravel()
+    values = (_full_sea(model, bias.kf_l, True, jf, mf)
+              + _full_sea(model, bias.kf_r, False, jf, mf)).reshape(j.shape)
+    return values[()] if values.ndim == 0 else values
 
 
 def build_corr_matrix(model: ImpurityModel, bias: BiasConfig, g: Geometry,
@@ -255,22 +345,19 @@ def build_corr_matrix(model: ImpurityModel, bias: BiasConfig, g: Geometry,
     mat = np.zeros((n, n), dtype=complex)
 
     if mode == "full":
-        for p in range(n):
-            for q in range(p, n):
-                mat[p, q] = corr_entry_full(model, bias, sites[p], sites[q], g.m0)
+        upper = np.triu_indices(n)
+        mat[upper] = corr_entry_full(model, bias, sites[upper[0]], sites[upper[1]], g.m0)
     else:
         win = _WindowIntegrals(model, bias, cache)
         # sites within each block are consecutive integers, so the site
         # difference equals the position difference: Toeplitz fill by lag
-        mat[:nl, :nl] = toeplitz(
-            _fermi_kernel(bias.kf_l, np.arange(1 - nl, nl))
-            - np.array([win("T", d) for d in range(1 - nl, nl)]))
-        mat[nl:, nl:] = toeplitz(
-            _fermi_kernel(bias.kf_r, np.arange(1 - nr, nr))
-            + np.array([win("T", -d) for d in range(1 - nr, nr)]))
+        mat[:nl, :nl] = toeplitz(_fermi_kernel(bias.kf_l, np.arange(1 - nl, nl))
+                                 - win("T", range(1 - nl, nl)))
+        mat[nl:, nl:] = toeplitz(_fermi_kernel(bias.kf_r, np.arange(1 - nr, nr))
+                                 + win("T", range(nr - 1, -nr, -1)))
         # cross entries depend on the site sum only (Hankel-like)
         base = int(left[0] + right[0])
-        anti = np.array([-win("R", base + s) for s in range(n - 1)])
+        anti = -win("R", range(base, base + n - 1))
         mat[:nl, nl:] = anti[np.arange(nl)[:, None] + np.arange(nr)[None, :]]
 
     # exact Hermitian storage: conjugate the computed triangle downward,

@@ -15,6 +15,10 @@ to every node.  The accepted panels' fine sums are added to the total one
 at a time in descending order of their left edges, the order in which a
 depth-first, right-first traversal of the same tree meets them, so the
 rounding of the result does not depend on how the work is batched.
+
+:class:`InitialPanels` is the rule's first level on its own: integrands
+that share an interval and an initial panel count share its nodes, and
+each one's values there start its own bisection loop.
 """
 
 from __future__ import annotations
@@ -35,6 +39,86 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
         rule = legendre.leggauss(order)
         _GL_CACHE[order] = rule
     return rule
+
+
+def _level(plo: np.ndarray, phi: np.ndarray, x: np.ndarray):
+    """Midpoints, half-widths and the flat node array of one panel level."""
+    mid = 0.5 * (plo + phi)
+    half = 0.5 * (phi - plo)
+    return mid, half, (mid[:, None] + half[:, None] * x).ravel()
+
+
+class InitialPanels:
+    """The first level of the panel tree on the oriented interval [a, b].
+
+    ``n0`` equal panels (:meth:`count` gives the rule's choice); ``nodes``
+    holds each panel's ``order`` coarse then ``2*order`` fine nodes.
+    Integrands that share the interval and ``n0`` share these nodes, so a
+    caller may evaluate several integrands here once and pass each one's
+    values to :meth:`integrate`.
+    """
+
+    def __init__(self, a: float, b: float, n0: int, tol: float = 1e-10,
+                 order: int = 16, max_panels: int = 40000):
+        if n0 > max_panels:
+            raise ConvergenceError(
+                f"quadrature on [{a}, {b}] needs {n0} initial panels, "
+                f"over the budget of {max_panels}")
+        self.a, self.b, self.n0 = a, b, n0
+        self.tol, self.order, self.max_panels = tol, order, max_panels
+        self.sign = 1.0
+        lo, hi = a, b
+        if hi < lo:
+            lo, hi = hi, lo
+            self.sign = -1.0
+        self.width = hi - lo
+        self.x = np.concatenate([_gl_rule(order)[0], _gl_rule(2 * order)[0]])
+        edges = np.linspace(lo, hi, n0 + 1)
+        self.plo, self.phi = edges[:-1], edges[1:]
+        self.mid, self.half, self.nodes = _level(self.plo, self.phi, self.x)
+
+    @staticmethod
+    def count(width, frequency):
+        """n0 = max(1, ceil(width * |frequency| / (pi/2))), elementwise."""
+        return np.maximum(1, np.ceil(width * np.abs(frequency) / (0.5 * math.pi))
+                          ).astype(int)
+
+    def integrate(self, f, values):
+        """The integral of ``f``, given its ``values`` at :attr:`nodes`.
+
+        Panels failing the error test are bisected level by level, calling
+        ``f`` once per level with the nodes of the pending panels.
+        """
+        order, width, tol = self.order, self.width, self.tol
+        w_c, w_f = _gl_rule(order)[1], _gl_rule(2 * order)[1]
+        plo, phi, mid, half, nodes = self.plo, self.phi, self.mid, self.half, self.nodes
+        done_lo, done_fine = [], []
+        spent = self.n0
+        while True:
+            vals = np.broadcast_to(values, nodes.shape).reshape(plo.size, -1)
+            coarse = half * np.sum(w_c * vals[:, :order], axis=1)
+            fine = half * np.sum(w_f * vals[:, order:], axis=1)
+            err = np.abs(fine - coarse)
+            ok = (err <= tol * (phi - plo) / width) | ((phi - plo) < width * 2.0 ** -52)
+            done_lo.append(plo[ok])
+            done_fine.append(fine[ok])
+            split = ~ok
+            if not split.any():
+                break
+            spent += 2 * np.count_nonzero(split)
+            if spent > self.max_panels:
+                raise ConvergenceError(
+                    f"quadrature on [{self.a}, {self.b}] exceeded {self.max_panels} "
+                    f"panels (largest rejected panel error {np.max(err[split]):.3e})")
+            plo, phi, pm = plo[split], phi[split], mid[split]
+            plo, phi = np.concatenate([plo, pm]), np.concatenate([pm, phi])
+            mid, half, nodes = _level(plo, phi, self.x)
+            values = f(nodes)
+        fines = np.concatenate(done_fine)[np.argsort(np.concatenate(done_lo))[::-1]]
+        total = 0.0
+        for value in fines:
+            total = total + value
+        return self.sign * total
 
 
 def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-10,
@@ -64,45 +148,6 @@ def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-10,
     """
     if a == b:
         return 0.0
-    sign = 1.0
-    lo, hi = a, b
-    if hi < lo:
-        lo, hi = hi, lo
-        sign = -1.0
-    width = hi - lo
-    n0 = max(1, math.ceil(width * abs(frequency) / (0.5 * math.pi)))
-    if n0 > max_panels:
-        raise ConvergenceError(
-            f"quadrature on [{a}, {b}] needs {n0} initial panels, "
-            f"over the budget of {max_panels}")
-    x_c, w_c = _gl_rule(order)
-    x_f, w_f = _gl_rule(2 * order)
-    x = np.concatenate([x_c, x_f])
-    edges = np.linspace(lo, hi, n0 + 1)
-    plo, phi = edges[:-1], edges[1:]
-    done_lo, done_fine = [], []
-    spent = n0
-    while plo.size:
-        mid = 0.5 * (plo + phi)
-        half = 0.5 * (phi - plo)
-        nodes = (mid[:, None] + half[:, None] * x).ravel()
-        vals = np.broadcast_to(f(nodes), nodes.shape).reshape(plo.size, -1)
-        coarse = half * np.sum(w_c * vals[:, :order], axis=1)
-        fine = half * np.sum(w_f * vals[:, order:], axis=1)
-        err = np.abs(fine - coarse)
-        ok = (err <= tol * (phi - plo) / width) | ((phi - plo) < width * 2.0 ** -52)
-        done_lo.append(plo[ok])
-        done_fine.append(fine[ok])
-        split = ~ok
-        spent += 2 * np.count_nonzero(split)
-        if spent > max_panels:
-            raise ConvergenceError(
-                f"quadrature on [{a}, {b}] exceeded {max_panels} panels "
-                f"(largest rejected panel error {np.max(err[split]):.3e})")
-        plo, phi, pm = plo[split], phi[split], mid[split]
-        plo, phi = np.concatenate([plo, pm]), np.concatenate([pm, phi])
-    fines = np.concatenate(done_fine)[np.argsort(np.concatenate(done_lo))[::-1]]
-    total = 0.0
-    for value in fines:
-        total = total + value
-    return sign * total
+    n0 = int(InitialPanels.count(abs(b - a), frequency))
+    panels = InitialPanels(a, b, n0, tol, order, max_panels)
+    return panels.integrate(f, f(panels.nodes))

@@ -11,6 +11,12 @@ is the plain-expression form of the partial-time-reversal matrix that
 ``lu_factor_logdet`` takes log det from scipy's LU factorization, a
 LAPACK build apart from the one ``nesscorr.densela.lu_logdet`` calls
 through numpy; scipy is a test dependency only.
+
+``corr_entry_full``, ``window_integral`` and ``build_corr_matrix`` are the
+entry-by-entry correlation builds the class-batched production builds of
+``nesscorr.correlation`` replaced: one scalar adaptive quadrature per
+entry and sea, or per window frequency.  The batched builds must give
+their matrices bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +26,18 @@ import warnings
 
 import numpy as np
 import scipy.linalg
+
+from nesscorr.correlation import (
+    ENTRY_TOL,
+    FULL_TOL,
+    _WEIGHTS,
+    _fermi_kernel,
+    _phase_integral,
+)
+from nesscorr.densela import toeplitz
+from nesscorr.errors import DomainError
+from nesscorr.model import ConstantS
+from nesscorr.quadrature import adaptive_gauss_legendre
 
 
 def tanh_sinh(f, a: float, b: float, tol: float = 1e-12,
@@ -158,3 +176,147 @@ def lu_factor_logdet(m: np.ndarray) -> tuple[complex | None, int | None]:
     if phase == -np.pi:
         phase = np.pi
     return complex(float(np.sum(np.log(np.abs(diag)))), phase), None
+
+
+def window_integral(model, bias, kind: str, freq) -> complex:
+    """int_{kf_r}^{kf_l} w(k) e^{i freq k} dk/2pi by one scalar quadrature."""
+    weight = _WEIGHTS[kind]
+
+    def f(k):
+        return (weight(*model.amplitudes(k))
+                * np.exp(1j * freq * k) / (2.0 * np.pi))
+
+    return adaptive_gauss_legendre(f, bias.kf_r, bias.kf_l, tol=ENTRY_TOL,
+                                   frequency=abs(freq))
+
+
+class WindowIntegrals:
+    """Window integrals resolved one frequency per call, memoized."""
+
+    def __init__(self, model, bias, cache=None):
+        self.model = model
+        self.bias = bias
+        self.cache = cache if cache is not None else {}
+
+    def __call__(self, kind: str, freq) -> complex:
+        key = (kind, freq)
+        value = self.cache.get(key)
+        if value is None:
+            weight = _WEIGHTS[kind]
+            mirror = self.cache.get(("T", -freq)) if kind == "T" else None
+            k1, k2 = self.bias.kf_r, self.bias.kf_l
+            if mirror is not None:
+                value = np.conj(mirror)  # the weight T(k) is real
+            elif isinstance(self.model, ConstantS):
+                amps = (self.model.r_l, self.model.t_l, self.model.r_r,
+                        self.model.t_r)
+                value = weight(*amps) * _phase_integral(freq, k1, k2)
+            elif k1 == k2:
+                value = 0.0
+            else:
+                value = window_integral(self.model, self.bias, kind, freq)
+            self.cache[key] = value
+        return value
+
+
+def corr_entry_full(model, bias, j: int, m: int, m0: int = 0) -> complex:
+    """Finite-distance entry <c_j^dag c_m>: one quadrature per sea."""
+    if abs(j) <= m0 or abs(m) <= m0:
+        raise DomainError(
+            f"sites ({j}, {m}) must lie outside the impurity region |m| <= {m0}")
+    kf_l, kf_r = bias.kf_l, bias.kf_r
+    freq = max(abs(j - m), abs(j + m), 1)
+
+    def left_sea(f):
+        if kf_l == 0.0:
+            return 0.0
+        return adaptive_gauss_legendre(f, 0.0, kf_l, tol=FULL_TOL, frequency=freq)
+
+    def right_sea(f):
+        if kf_r == 0.0:
+            return 0.0
+        return adaptive_gauss_legendre(f, 0.0, kf_r, tol=FULL_TOL, frequency=freq)
+
+    two_pi = 2.0 * np.pi
+    if j < 0 and m < 0:
+        def fl(k):
+            r_l, t_l, _, _ = model.amplitudes(k)
+            refl = np.abs(r_l) ** 2
+            return (np.exp(-1j * k * (j - m)) + refl * np.exp(1j * k * (j - m))
+                    + r_l * np.exp(-1j * k * (j + m))
+                    + np.conj(r_l) * np.exp(1j * k * (j + m))) / two_pi
+
+        def fr(k):
+            _, _, _, t_r = model.amplitudes(k)
+            return np.abs(t_r) ** 2 * np.exp(1j * k * (j - m)) / two_pi
+
+        return left_sea(fl) + right_sea(fr)
+    if j > 0 and m > 0:
+        def fl(k):
+            _, t_l, _, _ = model.amplitudes(k)
+            return np.abs(t_l) ** 2 * np.exp(-1j * k * (j - m)) / two_pi
+
+        def fr(k):
+            _, _, r_r, _ = model.amplitudes(k)
+            refl = np.abs(r_r) ** 2
+            return (np.exp(1j * k * (j - m)) + refl * np.exp(-1j * k * (j - m))
+                    + r_r * np.exp(1j * k * (j + m))
+                    + np.conj(r_r) * np.exp(-1j * k * (j + m))) / two_pi
+
+        return left_sea(fl) + right_sea(fr)
+    if j > 0 and m < 0:
+        def fl(k):
+            r_l, t_l, _, _ = model.amplitudes(k)
+            return np.conj(t_l) * (np.exp(-1j * k * (j - m))
+                                   + r_l * np.exp(-1j * k * (j + m))) / two_pi
+
+        def fr(k):
+            _, _, r_r, t_r = model.amplitudes(k)
+            return t_r * (np.exp(1j * k * (j - m))
+                          + np.conj(r_r) * np.exp(-1j * k * (j + m))) / two_pi
+
+        return left_sea(fl) + right_sea(fr)
+
+    def fl(k):
+        r_l, t_l, _, _ = model.amplitudes(k)
+        return t_l * (np.exp(-1j * k * (j - m))
+                      + np.conj(r_l) * np.exp(1j * k * (j + m))) / two_pi
+
+    def fr(k):
+        _, _, r_r, t_r = model.amplitudes(k)
+        return np.conj(t_r) * (np.exp(1j * k * (j - m))
+                               + r_r * np.exp(1j * k * (j + m))) / two_pi
+
+    return left_sea(fl) + right_sea(fr)
+
+
+def build_corr_matrix(model, bias, g, mode: str = "longrange",
+                      cache=None) -> np.ndarray:
+    """C_A of ``g`` filled entry by entry (full) or lag by lag (long range)."""
+    left, right = g.left_sites(), g.right_sites()
+    sites = np.concatenate([left, right])
+    nl, nr = len(left), len(right)
+    n = nl + nr
+    mat = np.zeros((n, n), dtype=complex)
+    if mode == "full":
+        for p in range(n):
+            for q in range(p, n):
+                mat[p, q] = corr_entry_full(model, bias, sites[p], sites[q], g.m0)
+    else:
+        win = WindowIntegrals(model, bias, cache)
+        mat[:nl, :nl] = toeplitz(
+            _fermi_kernel(bias.kf_l, np.arange(1 - nl, nl))
+            - np.array([win("T", d) for d in range(1 - nl, nl)]))
+        mat[nl:, nl:] = toeplitz(
+            _fermi_kernel(bias.kf_r, np.arange(1 - nr, nr))
+            + np.array([win("T", -d) for d in range(1 - nr, nr)]))
+        base = int(left[0] + right[0])
+        anti = np.array([-win("R", base + s) for s in range(n - 1)])
+        mat[:nl, nl:] = anti[np.arange(nl)[:, None] + np.arange(nr)[None, :]]
+    upper = np.triu(mat, 1)
+    diag = mat.diagonal().real.copy()
+    mat[...] = 0.0
+    np.fill_diagonal(mat, diag)
+    mat += upper
+    mat += np.conjugate(upper, out=upper).T
+    return mat

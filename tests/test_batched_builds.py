@@ -1,0 +1,161 @@
+"""Class-batched correlation builds against the entry-by-entry oracles, bit for bit.
+
+The builds evaluate the quadrature nodes, the amplitudes and the shared
+phases once per panel class; ``tests/oracles.py`` keeps the scalar
+quadrature per entry (full mode) or per window frequency (long range).
+The scan reference rows pin every bit of C_A, so the comparison is exact.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import oracles
+from nesscorr.correlation import _WindowIntegrals, build_corr_matrix, corr_entry_full
+from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
+from nesscorr.quadrature import InitialPanels
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+BIASES = {
+    "kf_l>kf_r": BiasConfig.from_fermi_momenta(np.pi / 2 + 0.2, np.pi / 2),
+    "kf_l<kf_r": BiasConfig.from_fermi_momenta(np.pi / 2, np.pi / 2 + 0.2),
+    "kf_l=kf_r": BiasConfig.from_fermi_momenta(1.3, 1.3),
+}
+MODELS = {
+    "eps0=1": SingleSite(eps0=1.0),
+    "eps0=0.05": SingleSite(eps0=0.05),   # full mode bisects near k = 0 at m0=2
+    "beamsplitter": ConstantS.beamsplitter(0.4),
+}
+GEOMETRIES = {
+    "m0=0": Geometry(m0=0, d_l=20, ell_l=6, d_r=20, ell_r=6),
+    "m0=2": Geometry(m0=2, d_l=3, ell_l=4, d_r=7, ell_r=5),
+}
+
+
+def _continuations(monkeypatch) -> list:
+    """Node counts of every bisection level the batched builds evaluate."""
+    levels = []
+    integrate = InitialPanels.integrate
+
+    def recording(self, f, values):
+        def counted(k):
+            levels.append(k.size)
+            return f(k)
+        return integrate(self, counted, values)
+
+    monkeypatch.setattr(InitialPanels, "integrate", recording)
+    return levels
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("bias", BIASES)
+@pytest.mark.parametrize("mode", ["full", "longrange"])
+def test_build_equals_entry_by_entry_oracle(monkeypatch, mode, bias, model, geometry):
+    levels = _continuations(monkeypatch)
+    args = (MODELS[model], BIASES[bias], GEOMETRIES[geometry])
+    got = build_corr_matrix(*args, "A", mode).mat
+    want = oracles.build_corr_matrix(*args, mode)
+    assert got.tobytes() == want.tobytes()
+    if (mode, model, geometry) == ("full", "eps0=0.05", "m0=2"):
+        assert levels  # entries whose initial panels fail continue from them
+
+
+def test_shared_window_cache_across_builds_equals_oracle():
+    model, bias = SingleSite(eps0=0.8), BIASES["kf_l>kf_r"]
+    cache, oracle_cache = {}, {}
+    for d_l, d_r in ((3, 9), (9, 3), (5, 5), (12, 1)):
+        g = Geometry(m0=0, d_l=d_l, ell_l=7, d_r=d_r, ell_r=5)
+        got = build_corr_matrix(model, bias, g, "A", "longrange", cache).mat
+        want = oracles.build_corr_matrix(model, bias, g, "longrange", oracle_cache)
+        assert got.tobytes() == want.tobytes()
+    assert cache.keys() == oracle_cache.keys()
+    assert all(repr(cache[key]) == repr(oracle_cache[key]) for key in cache)
+
+
+def test_window_list_resolves_like_one_call_per_frequency():
+    model, bias = SingleSite(eps0=1.0), BIASES["kf_l<kf_r"]
+    freqs = [3, -3, 0, 7, 3, -8, 8, -7]
+    oracle = oracles.WindowIntegrals(model, bias)
+    win = _WindowIntegrals(model, bias)
+    got = win("T", freqs)
+    want = np.array([oracle("T", f) for f in freqs])
+    assert got.tobytes() == want.tobytes()
+    assert win.cache.keys() == oracle.cache.keys()
+
+
+# numpy reuses a temporary of at least 256 KiB (16384 complex values) as the
+# output of a product, which swaps the operands of a complex multiply; these
+# entries reach that size, the workloads' entries (at most 3696 nodes) do not
+ELIDED = 16384
+
+
+def test_full_build_above_elision_size_equals_oracle():
+    model, bias = SingleSite(eps0=1.0), BIASES["kf_l>kf_r"]
+    g = Geometry(m0=0, d_l=199, ell_l=7, d_r=199, ell_r=5)   # sites -206..-200, 200..204
+    assert 48 * int(InitialPanels.count(bias.kf_r, 400)) > ELIDED
+    got = build_corr_matrix(model, bias, g, "A", "full").mat
+    assert got.tobytes() == oracles.build_corr_matrix(model, bias, g, "full").tobytes()
+
+
+@pytest.mark.parametrize("j, m", [(200, -201), (204, -203), (205, -201)])
+def test_lower_cross_entry_above_elision_size_equals_oracle(j, m):
+    # the builds fill the upper triangle, whose cross entries have j < 0 < m
+    model, bias = SingleSite(eps0=1.0), BIASES["kf_l>kf_r"]
+    got = corr_entry_full(model, bias, j, m)
+    assert repr(got) == repr(oracles.corr_entry_full(model, bias, j, m))
+
+
+@pytest.mark.parametrize("kind", ["T", "L", "R"])
+def test_window_integral_above_elision_size_equals_oracle(kind):
+    model, bias = SingleSite(eps0=1.0), BIASES["kf_l>kf_r"]
+    freq = 3001
+    assert 48 * int(InitialPanels.count(bias.kf_l - bias.kf_r, freq)) > ELIDED
+    got = _WindowIntegrals(model, bias)(kind, [freq])[0]
+    assert repr(got) == repr(oracles.window_integral(model, bias, kind, freq))
+
+
+def test_site_arrays_give_the_scalar_entries():
+    model, bias = SingleSite(eps0=0.7), BIASES["kf_l>kf_r"]
+    j = np.array([[-7, -6], [8, 9]])
+    m = np.array([[9, -6], [-7, 9]])
+    got = corr_entry_full(model, bias, j, m)
+    assert got.shape == (2, 2)
+    for idx in np.ndindex(j.shape):
+        assert repr(got[idx]) == repr(corr_entry_full(model, bias, j[idx], m[idx]))
+        assert got[idx] == oracles.corr_entry_full(model, bias, j[idx], m[idx])
+
+
+# twice the traced peak of the entry-by-entry build (0.42 MiB); arrays the
+# size of a whole panel class, or an import of numpy.ma (1.1 MiB), exceed it
+FULL_BUILD_PEAK_MIB = 0.84
+
+MEMORY_SCRIPT = """
+import json, tracemalloc
+from nesscorr.correlation import build_corr_matrix
+from nesscorr.model import BiasConfig, Geometry, SingleSite
+from nesscorr.quadrature import _gl_rule
+_gl_rule(16), _gl_rule(32)
+bias = BiasConfig.from_fermi_momenta(1.7707963267948966, 1.5707963267948966)
+g = Geometry(m0=0, d_l=20, ell_l=14, d_r=20, ell_r=14)
+tracemalloc.start()
+build_corr_matrix(SingleSite(eps0=1.0), bias, g, "A", "full")
+print(json.dumps(tracemalloc.get_traced_memory()[1] / 2 ** 20))
+"""
+
+
+def test_full_build_traced_peak():
+    """One full-mode build at the full_mode workload's largest point."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + (
+        [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", MEMORY_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) <= FULL_BUILD_PEAK_MIB

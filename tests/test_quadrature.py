@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nesscorr.asymptotics as asymptotics
-import nesscorr.correlation as correlation
+import oracles
 from nesscorr.errors import ConvergenceError, NesscorrError
 from nesscorr.model import BiasConfig, SingleSite
 from nesscorr.quadrature import _gl_rule, adaptive_gauss_legendre
@@ -196,7 +196,7 @@ def test_refining_cases_bisect_many_panels(name, f, a, b, kwargs):
 
 
 def _captured(monkeypatch, module, call):
-    """The (f, a, b, kwargs) of every production quadrature that ``call`` makes."""
+    """The (f, a, b, kwargs) of every scalar quadrature that ``call`` makes."""
     seen = []
     real = module.adaptive_gauss_legendre
 
@@ -215,11 +215,15 @@ BIAS = BiasConfig.from_fermi_momenta(np.pi / 2 + 0.2, np.pi / 2)
 MODEL = SingleSite(eps0=1.0)
 
 
+# the correlation builds evaluate these integrands class by class; the
+# entry-by-entry oracles they must match call the scalar rule
+
+
 @pytest.mark.parametrize("kind", ["T", "L", "R"])
 @pytest.mark.parametrize("lag", [0, 1, -1, -511, 1023])
 def test_window_integral_integrands_bit_exact(monkeypatch, kind, lag):
-    window = correlation._WindowIntegrals(MODEL, BIAS)
-    for f, a, b, kwargs in _captured(monkeypatch, correlation,
+    window = oracles.WindowIntegrals(MODEL, BIAS)
+    for f, a, b, kwargs in _captured(monkeypatch, oracles,
                                      lambda: window(kind, lag)):
         assert_bit_exact(f, a, b, **kwargs)
         assert_bit_exact(f, b, a, **kwargs)
@@ -227,8 +231,8 @@ def test_window_integral_integrands_bit_exact(monkeypatch, kind, lag):
 
 @pytest.mark.parametrize("j, m", [(-3, -5), (4, 2), (3, -6), (-2, 7)])
 def test_full_mode_entry_integrands_bit_exact(monkeypatch, j, m):
-    calls = _captured(monkeypatch, correlation,
-                      lambda: correlation.corr_entry_full(MODEL, BIAS, j, m))
+    calls = _captured(monkeypatch, oracles,
+                      lambda: oracles.corr_entry_full(MODEL, BIAS, j, m))
     for f, a, b, kwargs in calls:
         assert_bit_exact(f, a, b, **kwargs)
 
