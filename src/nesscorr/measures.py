@@ -17,6 +17,12 @@ versus the rest) is built from the partial-time-reversal transform
           + (n/2) Tr ln[C^2 + (I - C)^2]           (n even),
 
 with the fermionic negativity E given by exponent 1/2 and prefactor 1/2.
+Since Gamma_+ Gamma_- = D_+ (I - 2C)^2 D_+^*, the occupation term needs
+no spectrum of C: with N = dim C,
+
+    Tr ln[C^2 + (I - C)^2] = ln det(I + Gamma_+ Gamma_-) - N ln 2,
+
+which the C_Xi build takes from the matrix its solve already forms.
 An equivalent determinant route evaluates E_n as a product over the
 angular index gamma = -(n-1)/2, ..., (n-1)/2:
 
@@ -98,50 +104,63 @@ def mutual_information(c_l: CorrelationMatrix, c_r: CorrelationMatrix,
         clamped_count=sum(p.clamped_count for p in parts))
 
 
-def build_c_xi(c_a: CorrelationMatrix, size_left: int) -> np.ndarray:
+def _add_identity(m: np.ndarray) -> np.ndarray:
+    """m + I in place, on the diagonal of the C-contiguous square ``m`` only."""
+    m.reshape(-1)[::m.shape[0] + 1] += 1.0
+    return m
+
+
+def build_c_xi(c_a: CorrelationMatrix, size_left: int) -> tuple[np.ndarray, float]:
     """Partial-time-reversal transformed correlation matrix C_Xi.
 
+    Returns ``(C_Xi, occupation)`` with the occupation term
+    Tr ln[C^2 + (I - C)^2] = ln det(I + Gamma_+ Gamma_-) - n ln 2.
     The first ``size_left`` indices of ``c_a`` must be the left subsystem.
-    The result is non-Hermitian in general, but similar to a Hermitian
+    C_Xi is non-Hermitian in general, but similar to a Hermitian
     matrix, so its spectrum is real and lies in [0, 1].
 
-    Every step writes into an n x n buffer the call already owns, and
-    Gamma_- is dropped before the solve, which then holds five complex
-    arrays (operands, LAPACK's two copies, solution) instead of eight:
-    3.5 n^2 traced complex entries at peak, 56 MiB at dim 1024.  The
-    ufunc, matmul and solve calls are those of the plain expression in
-    tests/oracles.py on the same operands, so the result is bit-identical.
+    Every step writes into an n x n buffer the call already owns, and no
+    dense identity is formed: I - x is computed as 0.0 - x plus 1 on the
+    diagonal, which rounds the same, signed zeros included.  Gamma_- is
+    dropped before the solve, which runs in two column halves written back
+    into the Gamma_+ + Gamma_- buffer.  LU with partial pivoting does not
+    depend on the right-hand side and the triangular solves act column by
+    column, so each half has the bits of the one full solve.  Counting
+    C_A, the solve then holds five complex n x n arrays (C_A, both
+    operands, LAPACK's copy of the matrix, and LAPACK's copy and the
+    solution of one half); a full solve would hold six.  The ufunc,
+    matmul and solve calls are those of the plain expression in
+    tests/oracles.py on the same operands, so C_Xi is bit-identical.
     """
     n = c_a.dim
     if not 0 <= size_left <= n:
         raise DimensionError(f"size_left={size_left} outside [0, {n}]")
-    eye = np.eye(n)
     d = np.concatenate([1j * np.ones(size_left), np.ones(n - size_left)])
     gamma_p = np.multiply(2.0, c_a.mat)
-    np.subtract(eye, gamma_p, out=gamma_p)
+    _add_identity(np.subtract(0.0, gamma_p, out=gamma_p))
     np.multiply(d[:, None], gamma_p, out=gamma_p)
     np.multiply(gamma_p, d[None, :], out=gamma_p)
     gamma_m = gamma_p.conj().T
     lhs = gamma_p @ gamma_m
-    np.add(eye, lhs, out=lhs)
-    rhs = np.add(gamma_p, gamma_m, out=gamma_p)
+    _add_identity(np.add(0.0, lhs, out=lhs))
+    x = np.add(gamma_p, gamma_m, out=gamma_p)
     del gamma_m
+    half = n // 2
     try:
-        x = np.linalg.solve(lhs, rhs)
+        for cols in (slice(0, half), slice(half, n)):
+            x[:, cols] = np.linalg.solve(lhs, x[:, cols])
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"I + Gamma_+ Gamma_- is singular: {exc}") from exc
-    del lhs, rhs, gamma_p
-    np.subtract(eye, x, out=x)
-    return np.multiply(0.5, x, out=x)
+    occupation = float(lu_logdet(lhs).real - n * np.log(2.0))
+    _add_identity(np.subtract(0.0, x, out=x))
+    return np.multiply(0.5, x, out=x), occupation
 
 
-def _occupation_log_sum(c_a: CorrelationMatrix, power: float) -> float:
-    lam, _ = _occupation_spectrum(c_a)
-    return float(power * np.sum(np.log(lam ** 2 + (1.0 - lam) ** 2)))
-
-
-def _xi_spectrum(c_a: CorrelationMatrix, size_left: int) -> tuple[np.ndarray, int]:
+def _xi_spectrum(c_a: CorrelationMatrix, size_left: int) -> tuple[np.ndarray, int, float]:
     """C_Xi eigenvalues with numerically-real strays nudged into [0, 1].
+
+    Returns the eigenvalues, the clamped count and the occupation term
+    Tr ln[C^2 + (I - C)^2] of the same build.
 
     The exact spectrum is real in [0, 1]; rounding pushes edge eigenvalues
     out by O(eps), which the square roots would amplify into spurious
@@ -151,14 +170,15 @@ def _xi_spectrum(c_a: CorrelationMatrix, size_left: int) -> tuple[np.ndarray, in
     cached = c_a._spectra.get(("xi", size_left))
     if cached is not None:
         return cached
-    xi = gen_eigvals(build_c_xi(c_a, size_left))
+    c_xi, occupation = build_c_xi(c_a, size_left)
+    xi = gen_eigvals(c_xi)
     real_like = np.abs(xi.imag) <= 1e-8
     stray = real_like & ((xi.real < 0.0) | (xi.real > 1.0))
     if np.any(stray & ((xi.real < -SPECTRUM_HARD) | (xi.real > 1 + SPECTRUM_HARD))):
         raise SpectrumError("C_Xi spectrum strays outside [0, 1] beyond tolerance")
     out = xi.copy()
     out[real_like] = np.clip(xi.real[real_like], 0.0, 1.0)
-    result = (out, int(np.sum(stray)))
+    result = (out, int(np.sum(stray)), occupation)
     c_a._spectra[("xi", size_left)] = result
     return result
 
@@ -166,9 +186,9 @@ def _xi_spectrum(c_a: CorrelationMatrix, size_left: int) -> tuple[np.ndarray, in
 def _xi_negativity(c_a: CorrelationMatrix, size_left: int, n: int, kernel,
                    label: str) -> MeasureResult:
     """sum_xi ln kernel(xi) + (n/2) Tr ln[C^2 + (I - C)^2], imaginary part gated."""
-    xi, clamped = _xi_spectrum(c_a, size_left)
+    xi, clamped, occupation = _xi_spectrum(c_a, size_left)
     s1 = complex(np.sum(np.log(kernel(xi))))
-    total = s1 + _occupation_log_sum(c_a, 0.5 * n)
+    total = s1 + 0.5 * n * occupation
     residual = abs(total.imag)
     if residual > IMAG_BUDGET:
         raise BranchError(
@@ -211,7 +231,6 @@ def renyi_negativity_det(c_a: CorrelationMatrix, size_left: int, n) -> MeasureRe
     if not 0 <= size_left <= dim:
         raise DimensionError(f"size_left={size_left} outside [0, {dim}]")
     gammas = np.arange(n) - (n - 1) / 2.0
-    eye = np.eye(dim)
     factor = np.empty((dim, dim), dtype=complex)  # I - C_gamma, refilled per gamma
     total = 0j
     for gamma in gammas:
@@ -220,7 +239,7 @@ def renyi_negativity_det(c_a: CorrelationMatrix, size_left: int, n) -> MeasureRe
             (1.0 - phase) * np.ones(size_left),
             (1.0 + 1.0 / phase) * np.ones(dim - size_left)])
         np.multiply(scale[:, None], c_a.mat, out=factor)
-        np.subtract(eye, factor, out=factor)
+        _add_identity(np.subtract(0.0, factor, out=factor))
         try:
             total += lu_logdet(factor)
         except SingularMatrixError as exc:

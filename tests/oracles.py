@@ -8,6 +8,8 @@ representations with integrable endpoint singularities, disjoint from the
 smooth forms ``nesscorr.asymptotics`` evaluates.  ``c_xi_expression``
 is the plain-expression form of the partial-time-reversal matrix that
 ``nesscorr.measures.build_c_xi`` must reproduce bit for bit.
+``occupation_log_sum_mp`` evaluates ln det[C^2 + (I - C)^2] in mpmath at
+34 digits from the matrix itself, with no spectrum and no Gamma matrices.
 ``lu_factor_logdet`` takes log det from scipy's LU factorization, a
 LAPACK build apart from the one ``nesscorr.densela.lu_logdet`` calls
 through numpy; scipy is a test dependency only.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -153,6 +156,26 @@ def c_xi_expression(mat: np.ndarray, size_left: int) -> np.ndarray:
     lhs = np.eye(n) + gamma_p @ gamma_m
     x = np.linalg.solve(lhs, gamma_p + gamma_m)
     return 0.5 * (np.eye(n) - x)
+
+
+def occupation_log_sum_mp(mat: np.ndarray, dps: int = 34) -> float:
+    """ln det[C^2 + (I - C)^2] for the Hermitian C = ``mat``, in mpmath.
+
+    M = C^2 + (I - C)^2 = I - 2C + 2C^2 is built from row products,
+    (C^2)_jm = sum_k C_jk conj(C_mk), and is Hermitian positive definite,
+    so ln det M = 2 sum_j ln L_jj for its Cholesky factor L.
+    """
+    n = mat.shape[0]
+    with mpmath.workdps(dps):
+        rows = [[mpmath.mpc(complex(z)) for z in row] for row in mat]
+        m = mpmath.matrix(n, n)
+        for j in range(n):
+            for k in range(j, n):
+                m[j, k] = 2 * mpmath.fdot(rows[j], rows[k], conjugate=True) - 2 * rows[j][k]
+                m[k, j] = mpmath.conj(m[j, k])
+            m[j, j] += 1
+        chol = mpmath.cholesky(m)
+        return float(2 * mpmath.fsum(mpmath.log(mpmath.re(chol[j, j])) for j in range(n)))
 
 
 def lu_factor_logdet(m: np.ndarray) -> tuple[complex | None, int | None]:

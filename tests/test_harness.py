@@ -329,6 +329,17 @@ class TestRunScan:
                          3, 7]      # 4: C_R reused
         _assert_rows_match_fresh_points(cfg, rows)
 
+    def test_negativity_scan_computes_no_hermitian_spectrum(self, monkeypatch):
+        # the occupation term of E and E_n comes from the C_Xi build's
+        # ln det(I + Gamma_+ Gamma_-), not from the spectrum of C_A
+        cfg = small_config(model=SingleSite(eps0=1.0), scan_values=(4, 8),
+                           measures=("E", "E_n"), n_values=(2, 4))
+        sizes = _count_spectra(monkeypatch)
+        rows = run_scan(cfg)
+        assert sizes == []
+        assert len(rows) == 3 * len(cfg.scan_values)
+        _assert_rows_match_fresh_points(cfg, rows)
+
     def test_length_scan_reuses_no_side(self, monkeypatch):
         cfg = small_config(model=SingleSite(eps0=1.0), scan_values=(4, 8, 12),
                            measures=("MI", "MI_n"))

@@ -1,6 +1,7 @@
 """Spectral measures: scalar oracles, route equivalence, vanishing theorems."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from nesscorr.correlation import CorrelationMatrix, build_corr_matrix
 from nesscorr.densela import lu_logdet
 from nesscorr.errors import DimensionError, DomainError, SpectrumError
+from nesscorr.harness import geometry_at, parse_config
 from nesscorr.measures import (
     build_c_xi,
     fermionic_negativity,
@@ -18,9 +20,11 @@ from nesscorr.measures import (
     vn_entropy,
 )
 from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
-from oracles import c_xi_expression
+from oracles import c_xi_expression, occupation_log_sum_mp
 
 BIAS = BiasConfig.from_fermi_momenta(np.pi / 2 + 0.2, np.pi / 2)
+LENGTH_SCAN_CFG = (Path(__file__).resolve().parent.parent / "configs"
+                   / "symmetric_length_scan.cfg")
 
 
 def diag_corr(values, n_left=0):
@@ -122,25 +126,32 @@ class TestMutualInformation:
                 assert mutual_information(c_l, c_r, c_a).value >= -1e-9
 
 
+def length_scan_union(ell):
+    """C_A of the committed symmetric length scan at ell_l = ell_r = ell."""
+    cfg = parse_config(LENGTH_SCAN_CFG.read_text(encoding="utf-8"))
+    return build_corr_matrix(cfg.model, cfg.bias, geometry_at(cfg, ell), "A", cfg.mode)
+
+
 class TestCXi:
     def test_maximally_mixed(self):
         c = diag_corr([0.5, 0.5, 0.5], n_left=1)
-        np.testing.assert_allclose(build_c_xi(c, 1), 0.5 * np.eye(3), atol=1e-14)
+        c_xi, _ = build_c_xi(c, 1)
+        np.testing.assert_allclose(c_xi, 0.5 * np.eye(3), atol=1e-14)
 
     def test_spectrum_closed_under_conjugation(self):
         c = built_union(SingleSite(eps0=1.0), ell_l=3, ell_r=3)
-        xi = np.linalg.eigvals(build_c_xi(c, c.n_left))
+        xi = np.linalg.eigvals(build_c_xi(c, c.n_left)[0])
         by_key = sorted(xi, key=lambda z: (round(z.real, 8), z.imag))
         conj = sorted(np.conj(xi), key=lambda z: (round(z.real, 8), z.imag))
         np.testing.assert_allclose(by_key, conj, atol=1e-8)
 
     def test_spectrum_real_in_unit_interval(self):
         c = built_union(SingleSite(eps0=0.7), ell_l=5, ell_r=5)
-        xi = np.linalg.eigvals(build_c_xi(c, c.n_left))
+        xi = np.linalg.eigvals(build_c_xi(c, c.n_left)[0])
         assert np.max(np.abs(xi.imag)) <= 1e-10
         assert xi.real.min() >= -1e-10 and xi.real.max() <= 1 + 1e-10
 
-    @pytest.mark.parametrize("ell", [6, 40])
+    @pytest.mark.parametrize("ell", [6, 40, 256])
     @pytest.mark.parametrize("model", [
         SingleSite(1.0, 1.0), ConstantS.beamsplitter(0.0),
         ConstantS.beamsplitter(0.5), ConstantS.beamsplitter(1.0),
@@ -150,7 +161,7 @@ class TestCXi:
         # signs of zero included, must match the plain expression
         c = built_union(model, ell_l=ell, ell_r=ell)
         for size_left in (0, c.n_left, c.dim):
-            got = build_c_xi(c, size_left)
+            got, _ = build_c_xi(c, size_left)
             assert got.dtype == np.complex128 and got.flags.c_contiguous
             assert got.tobytes() == c_xi_expression(c.mat, size_left).tobytes()
 
@@ -165,7 +176,26 @@ class TestCXi:
         finally:
             tracemalloc.stop()
         # the plain expression peaks near 6.5 complex n x n arrays
-        assert peak <= 4 * c.dim ** 2 * 16
+        assert peak <= 3.25 * c.dim ** 2 * 16
+
+
+class TestOccupationTerm:
+    """Tr ln[C^2 + (I - C)^2] as ln det(I + Gamma_+ Gamma_-) - n ln 2."""
+
+    @pytest.mark.parametrize("ell", [16, 32])
+    def test_matches_mpmath_log_det(self, ell):
+        c = length_scan_union(ell)
+        _, occupation = build_c_xi(c, c.n_left)
+        assert abs(occupation - occupation_log_sum_mp(c.mat)) <= 2e-14
+
+    def test_eig_route_meets_det_route_at_dim_1024(self):
+        # the occupation term from the spectrum of C_A leaves 2.0e-12 (E_2)
+        # and 4.1e-12 (E_4) here; ln det(I + Gamma_+ Gamma_-) does not
+        c = length_scan_union(512)
+        for n in (2, 4):
+            eig = renyi_negativity_eig(c, c.n_left, n).value
+            det = renyi_negativity_det(c, c.n_left, n).value
+            assert abs(eig - det) <= 1e-12
 
 
 class TestNegativities:
