@@ -30,7 +30,7 @@ import numpy as np
 from . import asymptotics, fisher_hartwig, measures
 from .correlation import build_corr_matrix
 from .densela import lu_logdet
-from .errors import ConfigError, NesscorrError
+from .errors import ConfigError, NesscorrError, SpectrumError
 from .model import BiasConfig, ConstantS, Geometry, ImpurityModel, SingleSite, mirror_overlap
 
 DEGENERACY_RADIUS_DEFAULT = 5
@@ -164,6 +164,13 @@ def _error_text(exc: NesscorrError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+# appended to a SpectrumError of a constant_s model in full mode
+CONSTANT_S_FULL_CAUSE = (
+    "; constant_s in full mode: a momentum-independent S-matrix has no lattice "
+    "realisation near the impurity, so C_A need not be a correlation matrix at "
+    "small d_l, d_r (use larger distances or mode = longrange)")
+
+
 def _numeric_measures(cfg: ExperimentConfig, g: Geometry,
                       cache: dict | None = None,
                       previous: tuple | None = None) -> tuple[dict, tuple]:
@@ -180,12 +187,16 @@ def _numeric_measures(cfg: ExperimentConfig, g: Geometry,
     if previous is not None:  # array_equal compares shapes before entries
         c_l, c_r = (old if np.array_equal(old.mat, new.mat) else new
                     for new, old in zip((c_l, c_r), previous))
+    constant_s_full = cfg.mode == "full" and isinstance(cfg.model, ConstantS)
     out: dict = {}
     for measure, n in _measure_keys(cfg):
         try:
             out[(measure, n)] = MEASURES[measure].numeric(c_a, c_l, c_r, int(n))
         except NesscorrError as exc:
-            out[(measure, n)] = _error_text(exc)
+            text = _error_text(exc)
+            if constant_s_full and isinstance(exc, SpectrumError):
+                text += CONSTANT_S_FULL_CAUSE
+            out[(measure, n)] = text
     return out, (c_l, c_r)
 
 

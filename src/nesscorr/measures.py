@@ -166,19 +166,33 @@ def _xi_spectrum(c_a: CorrelationMatrix, size_left: int) -> tuple[np.ndarray, in
     out by O(eps), which the square roots would amplify into spurious
     imaginary parts.  Only eigenvalues that are real to within 1e-8 are
     clamped (and counted); genuinely complex ones pass through untouched.
+
+    A cut with no correlation across it (the block C_A[:size_left,
+    size_left:] is exactly zero, as for a beamsplitter at T = 0, and at
+    T = 1 in long-range mode) is taken block by block: with C_A the direct
+    sum of C_L and C_R, Gamma_pm, I + Gamma_+ Gamma_- and Gamma_+ + Gamma_-
+    are block diagonal, so C_Xi is the direct sum of C_Xi(C_L, all left)
+    and C_Xi(C_R, none left), and the log-determinant adds over the blocks.
     """
     cached = c_a._spectra.get(("xi", size_left))
     if cached is not None:
         return cached
-    c_xi, occupation = build_c_xi(c_a, size_left)
-    xi = gen_eigvals(c_xi)
-    real_like = np.abs(xi.imag) <= 1e-8
-    stray = real_like & ((xi.real < 0.0) | (xi.real > 1.0))
-    if np.any(stray & ((xi.real < -SPECTRUM_HARD) | (xi.real > 1 + SPECTRUM_HARD))):
-        raise SpectrumError("C_Xi spectrum strays outside [0, 1] beyond tolerance")
-    out = xi.copy()
-    out[real_like] = np.clip(xi.real[real_like], 0.0, 1.0)
-    result = (out, int(np.sum(stray)), occupation)
+    s = size_left
+    if 0 < s < c_a.dim and not c_a.mat[:s, s:].any():
+        (xi_l, clamped_l, occ_l), (xi_r, clamped_r, occ_r) = (
+            _xi_spectrum(CorrelationMatrix(c_a.sites[:s], c_a.mat[:s, :s], s), s),
+            _xi_spectrum(CorrelationMatrix(c_a.sites[s:], c_a.mat[s:, s:], 0), 0))
+        result = (np.concatenate([xi_l, xi_r]), clamped_l + clamped_r, occ_l + occ_r)
+    else:
+        c_xi, occupation = build_c_xi(c_a, s)
+        xi = gen_eigvals(c_xi)
+        real_like = np.abs(xi.imag) <= 1e-8
+        stray = real_like & ((xi.real < 0.0) | (xi.real > 1.0))
+        if np.any(stray & ((xi.real < -SPECTRUM_HARD) | (xi.real > 1 + SPECTRUM_HARD))):
+            raise SpectrumError("C_Xi spectrum strays outside [0, 1] beyond tolerance")
+        out = xi.copy()
+        out[real_like] = np.clip(xi.real[real_like], 0.0, 1.0)
+        result = (out, int(np.sum(stray)), occupation)
     c_a._spectra[("xi", size_left)] = result
     return result
 

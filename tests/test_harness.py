@@ -213,6 +213,22 @@ class TestRunScan:
         assert mi == [(r.scan_value, r.numeric) for r in clean if r.measure == "MI"]
         assert scan_summary(rows)["failed_rows"] == 1
 
+    def test_constant_s_near_the_impurity_in_full_mode_names_the_cause(self):
+        # at d = 1, k_F,L = 3.0 the full-mode C_A of a momentum-independent
+        # S-matrix has spectrum [3.637e-02, 1.010e+00]; the long-range C_A of
+        # the same model and the full-mode C_A of a lattice impurity are
+        # correlation matrices
+        base = dict(bias=BiasConfig.from_fermi_momenta(3.0, np.pi / 2),
+                    geometry=Geometry(0, 1, 4, 1, 4), scan_values=(4,),
+                    measures=("MI",))
+        (row,) = run_scan(small_config(mode="full", **base))
+        assert row.error == ("SpectrumError: correlation spectrum [3.637e-02, 1.010e+00] "
+                             "strays outside [0, 1] beyond 1e-06"
+                             + harness_module.CONSTANT_S_FULL_CAUSE)
+        assert run_scan(small_config(mode="longrange", **base))[0].error is None
+        assert run_scan(small_config(mode="full", model=SingleSite(eps0=1.0),
+                                     **base))[0].error is None
+
     def test_failed_build_fails_every_row_of_its_point(self, monkeypatch):
         cfg = small_config(model=SingleSite(eps0=1.0), measures=ALL_MEASURES,
                            n_values=(2, 4), scan_values=(4, 6, 8, 10, 12, 14))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from nesscorr.correlation import CorrelationMatrix, build_corr_matrix
-from nesscorr.densela import lu_logdet
+from nesscorr import measures as measures_module
+from nesscorr.densela import gen_eigvals, lu_logdet
 from nesscorr.errors import DimensionError, DomainError, SpectrumError
 from nesscorr.harness import geometry_at, parse_config
 from nesscorr.measures import (
@@ -34,10 +35,11 @@ def diag_corr(values, n_left=0):
                              n_left=n_left)
 
 
-def built_union(model=None, bias=BIAS, ell_l=6, ell_r=6, d_l=4, d_r=4):
+def built_union(model=None, bias=BIAS, ell_l=6, ell_r=6, d_l=4, d_r=4,
+                mode="longrange"):
     model = model or ConstantS.beamsplitter(0.5)
     g = Geometry(m0=0, d_l=d_l, ell_l=ell_l, d_r=d_r, ell_r=ell_r)
-    return build_corr_matrix(model, bias, g, "A")
+    return build_corr_matrix(model, bias, g, "A", mode)
 
 
 class TestEntropies:
@@ -283,3 +285,56 @@ class TestNegativities:
         for n in (2, 4):
             assert renyi_negativity_eig(c_a, c_a.n_left, n).imag_residual <= 1e-8
             assert renyi_negativity_det(c_a, c_a.n_left, n).imag_residual <= 1e-8
+
+
+# beamsplitters whose C_A has an exactly zero block across the cut
+DECOUPLED = [(0.0, "longrange"), (1.0, "longrange"), (0.0, "full")]
+
+
+class TestDecoupledCut:
+    """C_Xi of C_L + C_R (direct sum) taken block by block."""
+
+    @pytest.mark.parametrize("ell", [6, 40])
+    @pytest.mark.parametrize("transmission, mode", DECOUPLED)
+    def test_split_spectrum_matches_the_dense_build(self, transmission, mode, ell):
+        c = built_union(ConstantS.beamsplitter(transmission), ell_l=ell, ell_r=ell,
+                        mode=mode)
+        assert not c.mat[:ell, ell:].any()
+        xi, _, occupation = measures_module._xi_spectrum(c, c.n_left)
+        dense, dense_occupation = build_c_xi(c, c.n_left)
+        np.testing.assert_allclose(np.sort(xi), np.sort(gen_eigvals(dense)),
+                                   rtol=0, atol=1e-12)
+        assert abs(occupation - dense_occupation) <= 1e-12
+
+    @pytest.mark.parametrize("model, mode, dims", [
+        (ConstantS.beamsplitter(0.0), "longrange", [5, 7]),
+        (ConstantS.beamsplitter(1.0), "longrange", [5, 7]),
+        (ConstantS.beamsplitter(0.0), "full", [5, 7]),
+        (ConstantS.beamsplitter(0.5), "longrange", [12]),
+        (SingleSite(eps0=1.0), "longrange", [12]),
+        (ConstantS.beamsplitter(1.0), "full", [12]),
+    ])
+    def test_eigensolver_sees_one_block_per_side_of_a_decoupled_cut(self, monkeypatch, model, mode, dims):
+        seen = []
+
+        def spy(m):
+            seen.append(m.shape[0])
+            return gen_eigvals(m)
+
+        monkeypatch.setattr(measures_module, "gen_eigvals", spy)
+        c = built_union(model, ell_l=5, ell_r=7, mode=mode)
+        assert c.mat[:5, 5:].any() == (len(dims) == 1)
+        fermionic_negativity(c, c.n_left)
+        renyi_negativity_eig(c, c.n_left, 4)
+        assert seen == dims
+
+    @pytest.mark.parametrize("transmission", [0.0, 1.0])
+    def test_product_state_identity_at_dim_512(self, transmission):
+        # a product state has E_n = ln Tr rho_A^n = (1 - n) S_n(A)
+        c = built_union(ConstantS.beamsplitter(transmission), ell_l=256, ell_r=256)
+        assert c.dim == 512
+        for n in (2, 4):
+            eig = renyi_negativity_eig(c, c.n_left, n).value
+            assert abs(eig - (1 - n) * renyi_entropy(c, n).value) <= 1e-11 * abs(eig)
+            det = renyi_negativity_det(c, c.n_left, n).value
+            assert abs(eig - det) <= 1e-10 * abs(det)
