@@ -22,7 +22,6 @@ from .correlation import (
     CorrelationMatrix,
     build_corr_matrix,
     corr_entry_full,
-    corr_entry_longrange,
 )
 from .densela import gen_eigvals, herm_eigvals, lu_logdet
 from .measures import (
@@ -62,7 +61,6 @@ __all__ = [
     "build_c_xi",
     "build_corr_matrix",
     "corr_entry_full",
-    "corr_entry_longrange",
     "fermi_momentum",
     "fermionic_negativity",
     "gen_eigvals",

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .densela import herm_eigvals, toeplitz
+from .densela import toeplitz
 from .errors import DomainError
 from .model import BiasConfig, ConstantS, Geometry, ImpurityModel
 from .quadrature import InitialPanels
@@ -73,9 +73,6 @@ class CorrelationMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def eigenvalues(self) -> np.ndarray:
-        return herm_eigvals(self.mat)
-
     def blocks(self) -> tuple[CorrelationMatrix, CorrelationMatrix]:
         """(C_L, C_R): views of the leading ``n_left`` block and the rest."""
         nl = self.n_left
@@ -102,7 +99,6 @@ def _phase_integral(freq: float, k1: float, k2: float) -> complex:
 # window weight w(k) of each kind, from the amplitudes (r_l, t_l, r_r, t_r)
 _WEIGHTS = {
     "T": lambda r_l, t_l, r_r, t_r: abs(t_l) ** 2,
-    "L": lambda r_l, t_l, r_r, t_r: np.conj(t_l) * r_l,
     "R": lambda r_l, t_l, r_r, t_r: np.conj(t_r) * r_r,
 }
 
@@ -123,10 +119,10 @@ def _window_values(weight: np.ndarray, k: np.ndarray, freq) -> np.ndarray:
 class _WindowIntegrals:
     """Oriented window integrals int_{kf_r}^{kf_l} w(k) e^{i f k} dk/2pi.
 
-    ``kind`` names the weight: ``"T"`` = |t_l|^2, ``"L"`` = t_l^* r_l,
-    ``"R"`` = t_r^* r_r.  Closed forms for constant amplitudes, adaptive
-    quadrature otherwise.  Values are memoized per (kind, frequency); a
-    cache may be shared between builds with the same model and bias.
+    ``kind`` names the weight: ``"T"`` = |t_l|^2, ``"R"`` = t_r^* r_r.
+    Closed forms for constant amplitudes, adaptive quadrature otherwise.
+    Values are memoized per (kind, frequency); a cache may be shared
+    between builds with the same model and bias.
     """
 
     def __init__(self, model: ImpurityModel, bias: BiasConfig, cache=None):
@@ -180,24 +176,6 @@ class _WindowIntegrals:
 
                 self.cache[(kind, freq)] = panels.integrate(
                     f, _window_values(w, panels.nodes, freq))
-
-
-def corr_entry_longrange(model: ImpurityModel, bias: BiasConfig,
-                         j: int, m: int, m0: int = 0, cache=None) -> complex:
-    """Long-range-limit entry <c_j^dag c_m> for sites outside the impurity."""
-    if abs(j) <= m0 or abs(m) <= m0:
-        raise DomainError(
-            f"sites ({j}, {m}) must lie outside the impurity region |m| <= {m0}")
-    win = _WindowIntegrals(model, bias, cache)
-    if j > 0 and m > 0:
-        delta = j - m
-        return _fermi_kernel(bias.kf_r, delta) + win("T", [-delta])[0]
-    if j < 0 and m < 0:
-        delta = j - m
-        return _fermi_kernel(bias.kf_l, delta) - win("T", [delta])[0]
-    if j > 0 and m < 0:
-        return win("L", [-(j + m)])[0]
-    return -win("R", [j + m])[0]
 
 
 # The integrand of one occupied sea takes one of four forms.  With the

@@ -3,16 +3,23 @@
 import numpy as np
 import pytest
 
-from nesscorr.correlation import (
-    _fermi_kernel,
-    build_corr_matrix,
-    corr_entry_full,
-    corr_entry_longrange,
-)
-from nesscorr.errors import DomainError
+import oracles
+from nesscorr.correlation import _fermi_kernel, build_corr_matrix, corr_entry_full
+from nesscorr.densela import herm_eigvals
 from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
 
 BIAS = BiasConfig.from_fermi_momenta(np.pi / 2 + 0.2, np.pi / 2)
+
+
+def longrange_entry(model, bias, j, m):
+    """<c_j^dag c_m> read from the long-range C_A of intervals holding j and m."""
+    neg = [s for s in (j, m) if s < 0] or [-1]
+    pos = [s for s in (j, m) if s > 0] or [1]
+    g = Geometry(m0=0, d_l=-max(neg) - 1, ell_l=max(neg) - min(neg) + 1,
+                 d_r=min(pos) - 1, ell_r=max(pos) - min(pos) + 1)
+    c = build_corr_matrix(model, bias, g, "A")
+    index = {site: p for p, site in enumerate(c.sites)}
+    return c.mat[index[j], index[m]]
 
 
 def trapezoid_longrange(model, bias, j, m, points=100_001):
@@ -82,31 +89,27 @@ def test_fermi_kernel_array_equals_scalar_formula_bitwise(kf):
 class TestLongRangeEntries:
     def test_trivial_impurity_kills_cross_block(self):
         model = ConstantS.beamsplitter(1.0)
-        assert corr_entry_longrange(model, BIAS, 9, -4) == 0
+        assert longrange_entry(model, BIAS, 9, -4) == 0
 
     def test_diagonal_right_side_two_windows(self):
         model = ConstantS.beamsplitter(0.4)
         want = (2 * BIAS.kf_r + 0.4 * (BIAS.kf_l - BIAS.kf_r)) / (2 * np.pi)
-        got = corr_entry_longrange(model, BIAS, 11, 11)
+        got = longrange_entry(model, BIAS, 11, 11)
         assert got == pytest.approx(want, abs=1e-14)
 
     @pytest.mark.parametrize("j,m", [(8, 5), (-3, -6), (7, -4), (-2, 9)])
     def test_single_site_matches_trapezoid_oracle(self, j, m):
         model = SingleSite(eps0=1.0, eta=1.0)
-        got = corr_entry_longrange(model, BIAS, j, m)
+        got = longrange_entry(model, BIAS, j, m)
         want = trapezoid_longrange(model, BIAS, j, m)
         assert got == pytest.approx(want, abs=1e-8)
 
     def test_reversed_bias_same_side(self):
         flipped = BiasConfig.from_fermi_momenta(np.pi / 2, np.pi / 2 + 0.2)
         model = SingleSite(eps0=0.8)
-        got = corr_entry_longrange(model, flipped, 6, 3)
+        got = longrange_entry(model, flipped, 6, 3)
         want = trapezoid_longrange(model, flipped, 6, 3)
         assert got == pytest.approx(want, abs=1e-8)
-
-    def test_rejects_impurity_region(self):
-        with pytest.raises(DomainError):
-            corr_entry_longrange(ConstantS.beamsplitter(0.5), BIAS, 2, 5, m0=2)
 
 
 class TestFullEntries:
@@ -136,7 +139,7 @@ class TestFullEntries:
     def test_converges_to_longrange_kernel_at_large_distance(self):
         model = SingleSite(eps0=1.0)
         d = 400
-        lr = corr_entry_longrange(model, BIAS, -d, -d)
+        lr = longrange_entry(model, BIAS, -d, -d)
         full = corr_entry_full(model, BIAS, -d, -d)
         assert abs(full - lr) <= 1e-2
 
@@ -145,7 +148,7 @@ class TestBuildMatrix:
     def test_minimal_union_is_valid(self):
         g = Geometry(m0=0, d_l=3, ell_l=1, d_r=3, ell_r=1)
         c = build_corr_matrix(ConstantS.beamsplitter(0.5), BIAS, g, "A")
-        lam = c.eigenvalues()
+        lam = herm_eigvals(c.mat)
         assert c.dim == 2
         assert lam.min() >= -1e-8 and lam.max() <= 1 + 1e-8
 
@@ -190,7 +193,7 @@ class TestBuildMatrix:
         g = Geometry(m0=0, d_l=6, ell_l=5, d_r=4, ell_r=6)
         c = build_corr_matrix(model, BIAS, g, subsystem, mode)
         assert np.max(np.abs(c.mat - c.mat.conj().T)) == 0.0
-        lam = c.eigenvalues()
+        lam = herm_eigvals(c.mat)
         assert lam.min() >= -1e-8 and lam.max() <= 1 + 1e-8
 
     def test_full_mode_agrees_with_entry_function(self):
@@ -239,10 +242,13 @@ class TestBlocks:
         sites = g.left_sites() if subsystem == "A_L" else g.right_sites()
         assert list(c.sites) == list(sites)
         assert c.n_left == (len(sites) if subsystem == "A_L" else 0)
-        entry = corr_entry_full if mode == "full" else corr_entry_longrange
-        upper = np.array([[entry(model, BIAS, j, m, g.m0) if q >= p else 0.0
-                           for q, m in enumerate(sites)]
-                          for p, j in enumerate(sites)])
-        # Hermitian storage: real diagonal, lower triangle conjugated
-        want = np.triu(upper, 1) + np.triu(upper, 1).conj().T + np.diag(upper.diagonal().real)
+        if mode == "full":
+            upper = np.array([[corr_entry_full(model, BIAS, j, m, g.m0) if q >= p else 0.0
+                               for q, m in enumerate(sites)]
+                              for p, j in enumerate(sites)])
+            # Hermitian storage: real diagonal, lower triangle conjugated
+            want = np.triu(upper, 1) + np.triu(upper, 1).conj().T + np.diag(upper.diagonal().real)
+        else:
+            side = slice(None, g.ell_l) if subsystem == "A_L" else slice(g.ell_l, None)
+            want = oracles.build_corr_matrix(model, BIAS, g)[side, side]
         assert c.mat.tobytes() == want.tobytes()

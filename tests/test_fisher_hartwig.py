@@ -8,24 +8,25 @@ from nesscorr.correlation import build_corr_matrix
 from nesscorr.densela import lu_logdet
 from nesscorr.errors import BranchError, DomainError, ScopeError
 from nesscorr.fisher_hartwig import (
-    BlockSymbol,
-    GammaSet,
     PiecewiseSymbol,
-    block_fh_logdet_asym,
-    block_symbol,
-    block_toeplitz_matrix,
     fh_logdet_asym,
     gamma_identities,
-    gamma_log_sum_mi,
     gamma_range,
     mi_symbol,
-    negativity_gamma_linear_sum,
-    negativity_log_coeff_gamma_sum,
     negativity_symbol,
     symbol_linear_coeff,
     toeplitz_from_symbol,
 )
 from nesscorr.model import BiasConfig, ConstantS, Geometry
+from oracles import (
+    BlockSymbol,
+    block_fh_logdet_asym,
+    block_symbol,
+    block_toeplitz_matrix,
+    gamma_log_sum_mi,
+    negativity_gamma_linear_sum,
+    negativity_log_coeff_gamma_sum,
+)
 
 BIAS = BiasConfig.from_fermi_momenta(np.pi / 2 + 0.2, np.pi / 2)
 
@@ -168,30 +169,7 @@ class TestMeasureSymbols:
                     assert np.all((ratios.imag != 0.0) | (ratios.real > 0.0))
 
 
-class TestGammaSet:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_roots_reproduce_polynomial(self, n):
-        gs = GammaSet.build(n)
-        rng = np.random.default_rng(n)
-        for _ in range(20):
-            z = complex(*rng.uniform(-2, 2, 2))
-            want = z ** n + (1 - z) ** n
-            assert gs.char_poly(z) == pytest.approx(want, rel=1e-9, abs=1e-9)
-
-    @pytest.mark.parametrize("n", [2, 4, 6, 8])
-    def test_tilde_roots_reproduce_half_polynomial(self, n):
-        gs = GammaSet.build(n)
-        rng = np.random.default_rng(n + 100)
-        for _ in range(20):
-            z = complex(*rng.uniform(-2, 2, 2))
-            want = z ** (n // 2) + (1 - z) ** (n // 2)
-            assert gs.char_poly_tilde(z) == pytest.approx(want, rel=1e-9,
-                                                          abs=1e-9)
-
-    def test_odd_n_has_missing_root(self):
-        gs = GammaSet.build(5)
-        assert np.min(np.abs(gs.z_inv)) == pytest.approx(0.0, abs=1e-15)
-
+class TestGammaRange:
     def test_gamma_square_sum(self):
         for n in range(2, 9):
             got = np.sum(gamma_range(n) ** 2)
@@ -413,7 +391,7 @@ class TestBlockMachinery:
         k_l = toeplitz_from_symbol(phi_l, ell)
         k_a = block_toeplitz_matrix(block_symbol(model, BIAS), ell)
         total = 0j
-        for z_inv in GammaSet.build(2).z_inv:
+        for z_inv in 1 - np.exp(1j * np.pi * gamma_range(2)):
             total += (lu_logdet(np.eye(ell) - z_inv * k_l)
                       + lu_logdet(np.eye(ell) - z_inv * k_r)
                       - lu_logdet(np.eye(2 * ell) - z_inv * k_a))
