@@ -152,11 +152,16 @@ def q_tilde_fun(t: float) -> float:
 
 
 def _window_average(model: ImpurityModel, bias: BiasConfig, integrand) -> float:
-    """int_{k-}^{k+} integrand(T(k)) dk, via quadrature for k-dependent T."""
+    """int_{k-}^{k+} integrand(T(k), R(k)) dk, via quadrature for k-dependent T.
+
+    R comes from the model, not from 1 - T: where T rounds to just below 1
+    the difference is rounding noise, and a root of it jumps from node to
+    node by far more than the quadrature tolerance.
+    """
     if bias.delta_k == 0.0:
         return 0.0
     return adaptive_gauss_legendre(
-        lambda k: integrand(model.transmission(k)),
+        lambda k: integrand(model.transmission(k), model.reflection(k)),
         bias.k_minus, bias.k_plus, tol=Q_TOL)
 
 
@@ -165,6 +170,8 @@ def volume_coeff(model: ImpurityModel, bias: BiasConfig, kind: str,
     """Per-site coefficient of the extensive term for the given measure.
 
     kinds: entropy_n, mi_n (Renyi index n), mi_vn, neg_n (even n), neg_vn.
+    neg_vn integrates ln(sqrt T + sqrt R) = ln(1 + 2 sqrt(T R)) / 2 (as
+    T + R = 1), which is exactly 0 wherever T or R is.
     """
     pi = np.pi
     if kind == "entropy_n":
@@ -172,27 +179,27 @@ def volume_coeff(model: ImpurityModel, bias: BiasConfig, kind: str,
             raise DomainError("entropy_n requires n > 0, n != 1")
         return _window_average(
             model, bias,
-            lambda t: np.log(t ** n + (1 - t) ** n)) / (2 * pi * (1 - n))
+            lambda t, r: np.log(t ** n + r ** n)) / (2 * pi * (1 - n))
     if kind == "mi_n":
         if n is None or n <= 0 or n == 1:
             raise DomainError("mi_n requires n > 0, n != 1")
         return _window_average(
             model, bias,
-            lambda t: np.log(t ** n + (1 - t) ** n)) / (pi * (1 - n))
+            lambda t, r: np.log(t ** n + r ** n)) / (pi * (1 - n))
     if kind == "mi_vn":
         return _window_average(
             model, bias,
-            lambda t: -_xlx(t) - _xlx(1 - t)) / pi
+            lambda t, r: -_xlx(t) - _xlx(r)) / pi
     if kind == "neg_n":
         if n is None or n < 2 or n % 2:
             raise DomainError("neg_n requires an even integer n >= 2")
         return _window_average(
             model, bias,
-            lambda t: np.log(t ** (n / 2) + (1 - t) ** (n / 2))) / pi
+            lambda t, r: np.log(t ** (n / 2) + r ** (n / 2))) / pi
     if kind == "neg_vn":
         return _window_average(
             model, bias,
-            lambda t: np.log(np.sqrt(t) + np.sqrt(1 - t))) / pi
+            lambda t, r: 0.5 * np.log1p(2.0 * np.sqrt(t * r))) / pi
     raise DomainError(f"unknown volume coefficient kind {kind!r}")
 
 

@@ -466,45 +466,63 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"missing required key {key!r}")
         return kv[key]
 
+    def value(key, convert, default=None):
+        raw = need(key) if default is None else kv.get(key, default)
+        try:
+            return convert(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{key} = {raw}: {exc}") from exc
+
+    def checked(keys, build):
+        # a value that build() rejects: name the keys it read from the file
+        try:
+            return build()
+        except ValueError as exc:
+            given = ", ".join(f"{key} = {kv[key]}" for key in keys if key in kv)
+            raise ConfigError(f"{given}: {exc}") from exc
+
     kind = need("model.kind")
     if kind == "single_site":
-        model: ImpurityModel = SingleSite(eps0=float(need("model.eps0")),
-                                          eta=float(kv.get("model.eta", "1")))
+        eps0, model_eta = value("model.eps0", float), value("model.eta", float, "1")
+        model: ImpurityModel = checked(("model.eps0", "model.eta"),
+                                       lambda: SingleSite(eps0=eps0, eta=model_eta))
     elif kind == "constant_s":
-        model = ConstantS.beamsplitter(float(need("model.transmission")))
+        transmission = value("model.transmission", float)
+        model = checked(("model.transmission",),
+                        lambda: ConstantS.beamsplitter(transmission))
     else:
         raise ConfigError(f"unknown model.kind {kind!r}")
 
-    eta = float(kv.get("bias.eta", kv.get("model.eta", "1")))
+    eta_key = "bias.eta" if "bias.eta" in kv else "model.eta"
+    eta = value(eta_key, float, "1")
     if "bias.kf_l" in kv or "bias.kf_r" in kv:
-        bias = BiasConfig.from_fermi_momenta(float(need("bias.kf_l")),
-                                             float(need("bias.kf_r")), eta)
+        kf_l, kf_r = value("bias.kf_l", float), value("bias.kf_r", float)
+        bias = checked(("bias.kf_l", "bias.kf_r", eta_key),
+                       lambda: BiasConfig.from_fermi_momenta(kf_l, kf_r, eta))
     else:
-        bias = BiasConfig(eta=eta, mu_l=float(need("bias.mu_l")),
-                          mu_r=float(need("bias.mu_r")))
+        mu_l, mu_r = value("bias.mu_l", float), value("bias.mu_r", float)
+        bias = checked(("bias.mu_l", "bias.mu_r", eta_key),
+                       lambda: BiasConfig(eta=eta, mu_l=mu_l, mu_r=mu_r))
 
-    geometry = Geometry(m0=int(kv.get("geometry.m0", "0")),
-                        d_l=int(kv.get("geometry.d_l", "0")),
-                        ell_l=int(kv.get("geometry.ell_l", "1")),
-                        d_r=int(kv.get("geometry.d_r", "0")),
-                        ell_r=int(kv.get("geometry.ell_r", "1")))
+    sizes = {name: value(f"geometry.{name}", int, default)
+             for name, default in (("m0", "0"), ("d_l", "0"), ("ell_l", "1"),
+                                   ("d_r", "0"), ("ell_r", "1"))}
+    geometry = checked([f"geometry.{name}" for name in sizes],
+                       lambda: Geometry(**sizes))
 
-    try:
-        return ExperimentConfig(
-            model=model, bias=bias, geometry=geometry,
-            scan_variable=need("scan.variable"),
-            scan_values=_int_list(need("scan.values")),
-            measures=tuple(m.strip() for m in need("measures").split(",")),
-            n_values=tuple(int(x) for x in kv.get("n_values", "2").split(",")),
-            mode=kv.get("mode", "longrange"),
-            ell_r_ratio=int(kv.get("scan.ell_r_ratio", "1")),
-            offset_ratio=float(kv.get("scan.offset_ratio", "0")),
-            fit_window=kv.get("fit.window", "upper_half"),
-            degeneracy_radius=int(kv.get("fit.degeneracy_radius",
-                                         str(DEGENERACY_RADIUS_DEFAULT))),
-            output_csv=kv.get("output.csv"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(
+        model=model, bias=bias, geometry=geometry,
+        scan_variable=need("scan.variable"),
+        scan_values=value("scan.values", _int_list),
+        measures=tuple(m.strip() for m in need("measures").split(",")),
+        n_values=value("n_values", lambda v: tuple(int(x) for x in v.split(",")), "2"),
+        mode=kv.get("mode", "longrange"),
+        ell_r_ratio=value("scan.ell_r_ratio", int, "1"),
+        offset_ratio=value("scan.offset_ratio", float, "0"),
+        fit_window=kv.get("fit.window", "upper_half"),
+        degeneracy_radius=value("fit.degeneracy_radius", int,
+                                str(DEGENERACY_RADIUS_DEFAULT)),
+        output_csv=kv.get("output.csv"))
 
 
 def measure_point(cfg: ExperimentConfig) -> dict:

@@ -82,6 +82,11 @@ class ImpurityModel:
         _, t_l, _, _ = self.amplitudes(k)
         return np.abs(t_l) ** 2
 
+    def reflection(self, k):
+        """R(k) = |r_l|^2, never formed as 1 - T(k)."""
+        r_l, _, _, _ = self.amplitudes(k)
+        return np.abs(r_l) ** 2
+
 
 @dataclass(frozen=True)
 class ConstantS(ImpurityModel):
@@ -143,6 +148,12 @@ class SingleSite(ImpurityModel):
         t = s / (s + 1j * a)
         r = t - 1.0
         return r, t, r, t
+
+    def reflection(self, k):
+        """R(k) = a^2 / (sin^2 k + a^2), a = eps0 / 2 eta: exactly 0 at eps0 = 0."""
+        s = np.sin(np.asarray(k, dtype=float))
+        a = self.eps0 / (2.0 * self.eta)
+        return a * a / (s * s + a * a)
 
 
 def scattering_at(model: ImpurityModel, k: float) -> ScatteringData:

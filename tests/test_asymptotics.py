@@ -1,5 +1,6 @@
 """Special functions and closed-form scaling predictions."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -123,6 +124,24 @@ class TestVolumeCoefficients:
         want = np.trapezoid(np.log(t ** 2 + (1 - t) ** 2), ks) / (np.pi * (1 - 2))
         assert volume_coeff(model, BIAS, "mi_n", 2) == pytest.approx(
             want, abs=1e-9)
+
+    @pytest.mark.parametrize("eps0", [0.0, 1e-12, 1e-8, 1e-6])
+    def test_neg_vn_near_trivial_impurity_against_mpmath(self, eps0):
+        # T rounds to just below 1 at many nodes here, so R must not be 1 - T
+        got = volume_coeff(SingleSite(eps0=eps0), BIAS, "neg_vn")
+        with mpmath.workdps(40):
+            a2 = mpmath.mpf(eps0 / 2.0) ** 2
+
+            def f(k):
+                s2 = mpmath.sin(k) ** 2
+                return mpmath.log(mpmath.sqrt(s2) + mpmath.sqrt(a2)) \
+                    - mpmath.log(s2 + a2) / 2
+
+            want = float(mpmath.quad(f, [BIAS.k_minus, BIAS.k_plus]) / mpmath.pi)
+        if eps0 == 0.0:
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(want, rel=1e-10)
 
     def test_kind_validation(self):
         with pytest.raises(DomainError):

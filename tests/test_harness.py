@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -150,6 +151,14 @@ class TestRunScan:
         for r in rows:
             assert abs(r.numeric) <= 1e-8
             assert abs(r.lin_term + r.log_term) <= 1e-8
+
+    def test_single_site_trivial_impurity_has_no_error_rows(self):
+        # at eps0 = 0, T(k) rounds to just below 1 at many quadrature nodes
+        cfg = small_config(model=SingleSite(eps0=0.0), measures=("MI", "E", "E_n"),
+                           scan_values=(8, 16))
+        rows = run_scan(cfg)
+        assert [r.error for r in rows if r.error is not None] == []
+        assert all(r.lin_term == 0.0 for r in rows if r.measure == "E")
 
     def test_residuals_are_consistent(self):
         rows = run_scan(small_config())
@@ -475,6 +484,23 @@ class TestConfigParsing:
             "bias.kf_r = 1.5707963267948966", "bias.mu_r = 0.0")
         cfg = parse_config(text)
         assert cfg.bias.kf_r == pytest.approx(np.pi / 2)
+
+
+    @pytest.mark.parametrize("line", ["model.eps0 = one", "geometry.d_l = 2.5",
+                                      "geometry.d_r = -3", "bias.kf_l = 4.0"])
+    def test_invalid_value_is_a_config_error_naming_its_key(self, line, tmp_path,
+                                                             capsys):
+        key = line.split(" =")[0]
+        kept = CONFIG_TEXT.replace(
+            "model.kind = constant_s\nmodel.transmission = 0.5",
+            "model.kind = single_site\nmodel.eps0 = 1.0").splitlines()
+        text = "\n".join(k for k in kept if not k.startswith(key + " ")) + f"\n{line}\n"
+        with pytest.raises(ConfigError, match=re.escape(line)):
+            parse_config(text)
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(text)
+        assert main(["scan", str(cfg_file)]) == 1
+        assert line in capsys.readouterr().err
 
 
 class TestIdentitySuite:
