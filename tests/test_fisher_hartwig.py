@@ -169,7 +169,42 @@ class TestMeasureSymbols:
                     assert np.all((ratios.imag != 0.0) | (ratios.real > 0.0))
 
 
-class TestGammaRange:
+def root_factors(n):
+    """1/z_gamma = 1 - e^{2 pi i gamma / n} over gamma_range(n), as renyi_negativity_det scales C_L."""
+    return 1.0 - np.exp(2j * np.pi * gamma_range(n) / n)
+
+
+def twin_root_factors(n):
+    """1/zt_gamma = 1 + e^{-4 pi i gamma / n} over the positive gamma of even n."""
+    gammas = gamma_range(n)
+    return 1.0 + np.exp(-4j * np.pi * gammas[gammas > 0] / n)
+
+
+class TestGammaSet:
+    """The gamma set of gamma_range(n) and the root factorisation built on it."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_roots_reproduce_polynomial(self, n):
+        z_inv = root_factors(n)
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            z = complex(*rng.uniform(-2, 2, 2))
+            want = z ** n + (1 - z) ** n
+            assert complex(np.prod(1.0 - z * z_inv)) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_tilde_roots_reproduce_half_polynomial(self, n):
+        zt_inv = twin_root_factors(n)
+        rng = np.random.default_rng(n + 100)
+        for _ in range(20):
+            z = complex(*rng.uniform(-2, 2, 2))
+            want = z ** (n // 2) + (1 - z) ** (n // 2)
+            assert complex(np.prod(1.0 - z * zt_inv)) == pytest.approx(want, rel=1e-9,
+                                                                       abs=1e-9)
+
+    def test_odd_n_has_missing_root(self):
+        assert np.min(np.abs(root_factors(5))) == pytest.approx(0.0, abs=1e-15)
+
     def test_gamma_square_sum(self):
         for n in range(2, 9):
             got = np.sum(gamma_range(n) ** 2)
