@@ -116,66 +116,47 @@ def _window_values(weight: np.ndarray, k: np.ndarray, freq) -> np.ndarray:
     return np.copy(weight) * np.exp(1j * freq * k) / (2.0 * np.pi)
 
 
-class _WindowIntegrals:
-    """Oriented window integrals int_{kf_r}^{kf_l} w(k) e^{i f k} dk/2pi.
+def _window_integrals(model: ImpurityModel, bias: BiasConfig, kind: str, freqs,
+                      cache: dict) -> np.ndarray:
+    """Oriented window integrals int_{kf_r}^{kf_l} w(k) e^{i f k} dk/2pi at each f.
 
-    ``kind`` names the weight: ``"T"`` = |t_l|^2, ``"R"`` = t_r^* r_r.
-    Closed forms for constant amplitudes, adaptive quadrature otherwise.
-    Values are memoized per (kind, frequency); a cache may be shared
-    between builds with the same model and bias.
+    ``kind`` names the weight: ``"T"`` = |t_l|^2, ``"R"`` = t_r^* r_r.  The
+    weight T is real, so its integral at f > 0 is the conjugate of the one
+    at -f, bit for bit (cos is even, sin odd, and every 0 * x term an exact
+    zero): only -|f| is integrated.  Closed forms for constant amplitudes,
+    adaptive quadrature otherwise.  Values are memoized in ``cache`` per
+    (kind, integrated frequency); a cache may be shared between builds with
+    the same model and bias.
     """
-
-    def __init__(self, model: ImpurityModel, bias: BiasConfig, cache=None):
-        self.model = model
-        self.bias = bias
-        self.cache = cache if cache is not None else {}
-
-    def __call__(self, kind: str, freqs) -> np.ndarray:
-        """The integrals of one kind at each frequency of ``freqs``, in order.
-
-        The values are those of one call per frequency in list order: a
-        ``"T"`` frequency whose negative is known (cached, or earlier in
-        the list) is the conjugate of that value, the weight being real.
-        """
-        cache = self.cache
-        misses, mirrored, seen = [], [], set()
-        for freq in freqs:
-            if (kind, freq) in cache or freq in seen:
-                continue
-            if kind == "T" and (("T", -freq) in cache or -freq in seen):
-                mirrored.append(freq)
-            else:
-                misses.append(freq)
-            seen.add(freq)
-        self._compute(kind, misses)
-        for freq in mirrored:
-            cache[(kind, freq)] = np.conj(cache[(kind, -freq)])
-        return np.array([cache[(kind, freq)] for freq in freqs])
-
-    def _compute(self, kind: str, freqs: list):
-        weight = _WEIGHTS[kind]
-        k1, k2 = self.bias.kf_r, self.bias.kf_l
-        if isinstance(self.model, ConstantS):
-            amps = (self.model.r_l, self.model.t_l, self.model.r_r, self.model.t_r)
-            for freq in freqs:
-                self.cache[(kind, freq)] = weight(*amps) * _phase_integral(freq, k1, k2)
-            return
-        if k1 == k2:
-            self.cache.update(((kind, freq), 0.0) for freq in freqs)
-            return
+    weight = _WEIGHTS[kind]
+    keys = [-abs(f) for f in freqs] if kind == "T" else list(freqs)
+    misses = [f for f in dict.fromkeys(keys) if (kind, f) not in cache]
+    k1, k2 = bias.kf_r, bias.kf_l
+    if isinstance(model, ConstantS):
+        amps = (model.r_l, model.t_l, model.r_r, model.t_r)
+        for freq in misses:
+            cache[(kind, freq)] = weight(*amps) * _phase_integral(freq, k1, k2)
+    elif k1 == k2:
+        cache.update(((kind, freq), 0.0) for freq in misses)
+    else:
         # frequencies with the same initial panel count share the nodes
         classes: dict = {}
-        for freq, n0 in zip(freqs, InitialPanels.count(abs(k2 - k1), freqs).tolist()):
+        for freq, n0 in zip(misses, InitialPanels.count(abs(k2 - k1), misses).tolist()):
             classes.setdefault(n0, []).append(freq)
         for n0, members in classes.items():
             panels = InitialPanels(k1, k2, n0, tol=ENTRY_TOL)
-            w = weight(*self.model.amplitudes(panels.nodes))
+            w = weight(*model.amplitudes(panels.nodes))
             for freq in members:
                 def f(k, freq=freq):
-                    return _window_values(weight(*self.model.amplitudes(k)), k, freq)
+                    return _window_values(weight(*model.amplitudes(k)), k, freq)
 
-                self.cache[(kind, freq)] = panels.integrate(
+                cache[(kind, freq)] = panels.integrate(
                     f, _window_values(w, panels.nodes, freq))
+    values = np.array([cache[(kind, f)] for f in keys])
+    if kind == "T":
+        flip = np.asarray(freqs) > 0
+        values[flip] = values[flip].conj()
+    return values
 
 
 # The integrand of one occupied sea takes one of four forms.  With the
@@ -326,16 +307,19 @@ def build_corr_matrix(model: ImpurityModel, bias: BiasConfig, g: Geometry,
         upper = np.triu_indices(n)
         mat[upper] = corr_entry_full(model, bias, sites[upper[0]], sites[upper[1]], g.m0)
     else:
-        win = _WindowIntegrals(model, bias, cache)
+        cache = {} if cache is None else cache
         # sites within each block are consecutive integers, so the site
-        # difference equals the position difference: Toeplitz fill by lag
+        # difference equals the position difference: Toeplitz fill by lag;
+        # at lag d the left block takes T's integral at d, the right one at -d
+        m = max(nl, nr)
+        t = _window_integrals(model, bias, "T", range(1 - m, m), cache)
         mat[:nl, :nl] = toeplitz(_fermi_kernel(bias.kf_l, np.arange(1 - nl, nl))
-                                 - win("T", range(1 - nl, nl)))
+                                 - t[m - nl:m + nl - 1])
         mat[nl:, nl:] = toeplitz(_fermi_kernel(bias.kf_r, np.arange(1 - nr, nr))
-                                 + win("T", range(nr - 1, -nr, -1)))
+                                 + t[m - nr:m + nr - 1].conj())
         # cross entries depend on the site sum only (Hankel-like)
         base = int(left[0] + right[0])
-        anti = -win("R", range(base, base + n - 1))
+        anti = -_window_integrals(model, bias, "R", range(base, base + n - 1), cache)
         mat[:nl, nl:] = anti[np.arange(nl)[:, None] + np.arange(nr)[None, :]]
 
     # exact Hermitian storage: conjugate the computed triangle downward,

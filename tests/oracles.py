@@ -226,7 +226,12 @@ def window_integral(model, bias, kind: str, freq) -> complex:
 
 
 class WindowIntegrals:
-    """Window integrals resolved one frequency per call, memoized."""
+    """Window integrals resolved one frequency per call, memoized.
+
+    Every frequency is integrated on its own, f > 0 included: the
+    production builds take the integral of T at f > 0 as the conjugate of
+    the one at -f, and this is the direct value they must reproduce.
+    """
 
     def __init__(self, model, bias, cache=None):
         self.model = model
@@ -238,11 +243,8 @@ class WindowIntegrals:
         value = self.cache.get(key)
         if value is None:
             weight = _WEIGHTS[kind]
-            mirror = self.cache.get(("T", -freq)) if kind == "T" else None
             k1, k2 = self.bias.kf_r, self.bias.kf_l
-            if mirror is not None:
-                value = np.conj(mirror)  # the weight T(k) is real
-            elif isinstance(self.model, ConstantS):
+            if isinstance(self.model, ConstantS):
                 amps = (self.model.r_l, self.model.t_l, self.model.r_r,
                         self.model.t_r)
                 value = weight(*amps) * _phase_integral(freq, k1, k2)
