@@ -70,6 +70,16 @@ def _unit_integral(f, n: float) -> float:
         lambda u: 2.0 * u * f(u * u), 0.0, 1.0, tol=Q_TOL)
 
 
+def _rise(v, d, n: float):
+    """(v + d)^n - v^n for v, d >= 0 (d^n at v = 0), accurate when d << v.
+
+    The Q-integrands divide ln(1 + rise) by x: a rise formed as a
+    difference of powers near 1 leaves an error of order eps / x.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        return -(v + d) ** n * np.expm1(-n * np.log1p(d / v))
+
+
 @lru_cache(maxsize=4096)
 def q_n(p: float, n: float) -> float:
     """Q_n(p): single-jump logarithmic kernel.
@@ -84,8 +94,8 @@ def q_n(p: float, n: float) -> float:
     norm = p ** n + c ** n
 
     def f(x):
-        t1 = np.log((1.0 + p * x) ** n + (c * x) ** n)
-        t2 = np.log(((x + p) ** n + c ** n) / norm)
+        t1 = np.log1p(_rise(1.0, p * x, n) + (c * x) ** n)
+        t2 = np.log1p(_rise(p, x, n) / norm)
         return (t1 + t2) / (2.0 * np.pi ** 2 * x)
 
     return -n / 12.0 + _unit_integral(f, n)
@@ -101,11 +111,12 @@ def q_tilde_n(t: float, n: float) -> float:
     r = 1.0 - t
 
     def f(x):
+        # each log's rise above 1: x + t = (t + r x) + t x, x + r = (r + t x) + r x
         den = (t + r * x) ** n + (r + t * x) ** n
-        t1 = np.log((1.0 + t * x) ** n + (r * x) ** n)
-        t2 = np.log((1.0 + r * x) ** n + (t * x) ** n)
-        t3 = np.log(((x + t) ** n + r ** n) / den)
-        t4 = np.log(((x + r) ** n + t ** n) / den)
+        t1 = np.log1p(_rise(1.0, t * x, n) + (r * x) ** n)
+        t2 = np.log1p(_rise(1.0, r * x, n) + (t * x) ** n)
+        t3 = np.log1p((_rise(t + r * x, t * x, n) - _rise(r, t * x, n)) / den)
+        t4 = np.log1p((_rise(r + t * x, r * x, n) - _rise(t, r * x, n)) / den)
         return (t1 + t2 + t3 + t4) / (2.0 * np.pi ** 2 * x)
 
     return -n / 12.0 + _unit_integral(f, n)
@@ -295,8 +306,8 @@ def single_interval_entropy_asym(model: ImpurityModel, bias: BiasConfig,
     kf_other = bias.kf_r if side == "L" else bias.kf_l
     ell = g.ell_l if side == "L" else g.ell_r
     t_own = float(model.transmission(kf_own))
-    t_other = float(model.transmission(kf_other))
-    coeff = (1 + n) / (12 * n) + (q_n(t_own, n) + q_n(1 - t_other, n)) / (1 - n)
+    r_other = float(model.reflection(kf_other))
+    coeff = (1 + n) / (12 * n) + (q_n(t_own, n) + q_n(r_other, n)) / (1 - n)
     return AsymptoticPrediction(
         linear_coeff=volume_coeff(model, bias, "entropy_n", n),
         linear_length=float(ell),
@@ -307,8 +318,7 @@ def _mi_log_terms(model, bias, g, coeff_fn) -> tuple[tuple[float, float], ...]:
     ratio1, ratio2 = _four_point_ratios(g)
     terms = []
     for kf in (bias.kf_l, bias.kf_r):
-        t = float(model.transmission(kf))
-        c1, c2 = coeff_fn(t)
+        c1, c2 = coeff_fn(float(model.transmission(kf)), float(model.reflection(kf)))
         terms.append((c1, ratio1))
         terms.append((c2, ratio2))
     return tuple(terms)
@@ -323,8 +333,8 @@ def renyi_mi_asym(model: ImpurityModel, bias: BiasConfig, g: Geometry,
     ell_mirror, _, _ = mirror_overlap(g)
     q0 = (1.0 / n - n) / 12.0
 
-    def coeffs(t):
-        c1 = (q_n(t, n) + q_n(1 - t, n) - q0) / (2 * (1 - n))
+    def coeffs(t, r):
+        c1 = (q_n(t, n) + q_n(r, n) - q0) / (2 * (1 - n))
         c2 = q_tilde_n(t, n) / (2 * (1 - n))
         return c1, c2
 
@@ -340,7 +350,7 @@ def vn_mi_asym(model: ImpurityModel, bias: BiasConfig,
     _require_bias(bias)
     ell_mirror, _, _ = mirror_overlap(g)
 
-    def coeffs(t):
+    def coeffs(t, r):
         return 0.5 * q_fun(t), 0.5 * q_tilde_fun(t)
 
     return AsymptoticPrediction(
@@ -372,8 +382,8 @@ def negativity_asym_symmetric(model: ImpurityModel, bias: BiasConfig,
         n_eff, kind = float(n), "neg_n"
     coeff = -n_eff / 4.0
     for kf in (bias.kf_l, bias.kf_r):
-        t = float(model.transmission(kf))
-        coeff += q_n(t, n_eff / 2.0) + q_n(1.0 - t, n_eff / 2.0)
+        t, r = float(model.transmission(kf)), float(model.reflection(kf))
+        coeff += q_n(t, n_eff / 2.0) + q_n(r, n_eff / 2.0)
     return AsymptoticPrediction(
         linear_coeff=volume_coeff(model, bias, kind, n),
         linear_length=float(ell),

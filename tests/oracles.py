@@ -5,7 +5,9 @@ algorithm from the production Gauss-Legendre path, for integrands with
 endpoint singularities.  ``q_n_singular_form`` and
 ``q_tilde_n_singular_form`` evaluate Q_n and Qt_n from their
 representations with integrable endpoint singularities, disjoint from the
-smooth forms ``nesscorr.asymptotics`` evaluates.  ``c_xi_expression``
+smooth forms ``nesscorr.asymptotics`` evaluates; ``q_n_mp`` and
+``q_tilde_n_mp`` evaluate the smooth forms themselves in mpmath, with no
+cancellation to guard against.  ``c_xi_expression``
 is the plain-expression form of the partial-time-reversal matrix that
 ``nesscorr.measures.build_c_xi`` must reproduce bit for bit.
 ``occupation_log_sum_mp`` evaluates ln det[C^2 + (I - C)^2] in mpmath at
@@ -152,6 +154,42 @@ def q_tilde_n_singular_form(t: float, n: float) -> float:
     # -H(min, max) in the ascending-endpoint convention of the helper
     lo, hi = (r, t) if t > r else (t, r)
     return base - n / (2.0 * np.pi ** 2) * _log_ratio_integral(lo, hi, n)
+
+
+def _unit_integral_mp(f):
+    """int_0^1 f(x) dx in mpmath through x = u^2, split near the x^(n-1) edge."""
+    edges = [0, mpmath.mpf(10) ** -6, mpmath.mpf(10) ** -3, mpmath.mpf(10) ** -1, 1]
+    return mpmath.quad(lambda u: 2 * u * f(u * u), edges)
+
+
+def q_n_mp(p: float, n: float, dps: int = 30) -> float:
+    """Q_n(p) from its smooth representation, evaluated in mpmath."""
+    with mpmath.workdps(dps):
+        p, n = mpmath.mpf(p), mpmath.mpf(n)
+        c = 1 - p
+        norm = p ** n + c ** n
+
+        def f(x):
+            return (mpmath.log((1 + p * x) ** n + (c * x) ** n)
+                    + mpmath.log(((x + p) ** n + c ** n) / norm)) / (2 * mpmath.pi ** 2 * x)
+
+        return float(-n / 12 + _unit_integral_mp(f))
+
+
+def q_tilde_n_mp(t: float, n: float, dps: int = 30) -> float:
+    """Qt_n(T) from its smooth representation, evaluated in mpmath."""
+    with mpmath.workdps(dps):
+        t, n = mpmath.mpf(t), mpmath.mpf(n)
+        r = 1 - t
+
+        def f(x):
+            den = (t + r * x) ** n + (r + t * x) ** n
+            return (mpmath.log((1 + t * x) ** n + (r * x) ** n)
+                    + mpmath.log((1 + r * x) ** n + (t * x) ** n)
+                    + mpmath.log(((x + t) ** n + r ** n) / den)
+                    + mpmath.log(((x + r) ** n + t ** n) / den)) / (2 * mpmath.pi ** 2 * x)
+
+        return float(-n / 12 + _unit_integral_mp(f))
 
 
 def c_xi_expression(mat: np.ndarray, size_left: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from nesscorr.correlation import build_corr_matrix
 from nesscorr.errors import BiasError, DomainError, ScopeError
 from nesscorr.measures import renyi_entropy
 from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
-from oracles import q_n_singular_form, q_tilde_n_singular_form
+from oracles import q_n_mp, q_n_singular_form, q_tilde_n_mp, q_tilde_n_singular_form
 
 BIAS = BiasConfig.from_fermi_momenta(np.pi / 2 + 0.2, np.pi / 2)
 NO_BIAS = BiasConfig.from_fermi_momenta(1.3, 1.3)
@@ -81,6 +81,16 @@ class TestSpecialFunctions:
         h = 1e-3
         limit = (q_tilde_n(t, 1 - h) - q_tilde_n(t, 1 + h)) / (2 * h)
         assert q_tilde_fun(t) == pytest.approx(limit, abs=1e-4)
+
+    @pytest.mark.parametrize("p", [0.0, 1e-17, 1e-16, 3e-16, 1e-15, 1e-12, 1e-8,
+                                   1e-4, 0.01, 0.1, 0.3])
+    def test_half_index_kernels_near_the_edges_against_mpmath(self, p):
+        # each logarithm's rise above 1 is O(x) and is divided by x: formed
+        # as a difference of powers, its rounding left an eps / x error
+        # that no panel count could integrate
+        assert abs(q_n(p, 0.5) - q_n_mp(p, 0.5)) <= 1e-12
+        assert abs(q_tilde_n(p, 0.5) - q_tilde_n_mp(p, 0.5)) <= 1e-12
+        assert abs(q_tilde_n(1.0 - p, 0.5) - q_tilde_n_mp(1.0 - p, 0.5)) <= 1e-12
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -304,6 +314,39 @@ class TestMiAsymptotics:
             values[offset] = vn_mi_asym(model, BIAS, g).total()
         best = max(values, key=values.get)
         assert 0 <= best <= 100
+
+
+class TestReflectionFromModel:
+    """The Q_n(R) terms take R from the model, not from 1 - T.
+
+    At eps0 = 1e-6, R is about 2.6e-13 and 1 - T keeps only its first
+    three or four digits; Q_{1/2} near 0 moves like sqrt(R), so the
+    coefficients moved by up to 1e-10.
+    """
+
+    MODEL = SingleSite(eps0=1e-6)
+    G = Geometry(m0=0, d_l=100, ell_l=16, d_r=100, ell_r=16)
+
+    def exact(self, kf):
+        with mpmath.workdps(40):
+            s2 = mpmath.sin(mpmath.mpf(kf)) ** 2
+            a2 = (mpmath.mpf(self.MODEL.eps0) / 2) ** 2
+            return float(s2 / (s2 + a2)), float(a2 / (s2 + a2))
+
+    def test_negativity_log_coefficient(self):
+        want = -0.25 + sum(q_n_mp(t, 0.5) + q_n_mp(r, 0.5)
+                           for t, r in map(self.exact, (BIAS.kf_l, BIAS.kf_r)))
+        got = negativity_asym_symmetric(self.MODEL, BIAS, self.G).log_terms[0][0]
+        assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("side", ["L", "R"])
+    def test_single_interval_log_coefficient(self, side):
+        own, other = (BIAS.kf_l, BIAS.kf_r) if side == "L" else (BIAS.kf_r, BIAS.kf_l)
+        n = 0.5
+        want = (1 + n) / (12 * n) + (q_n_mp(self.exact(own)[0], n)
+                                     + q_n_mp(self.exact(other)[1], n)) / (1 - n)
+        got = single_interval_entropy_asym(self.MODEL, BIAS, self.G, side, n)
+        assert abs(got.log_terms[0][0] - want) <= 1e-12
 
 
 class TestNegativityAsymptotics:

@@ -160,6 +160,15 @@ class TestRunScan:
         assert [r.error for r in rows if r.error is not None] == []
         assert all(r.lin_term == 0.0 for r in rows if r.measure == "E")
 
+    def test_single_site_near_trivial_negativity_has_no_error_rows(self):
+        # at eps0 = 2e-8, R(k_F) is about 1e-16: Q_{1/2}(R) of E's log term
+        # sits where the kernels once divided rounding noise by x
+        cfg = small_config(model=SingleSite(eps0=2e-8), measures=("E",),
+                           scan_values=(8, 16))
+        rows = run_scan(cfg)
+        assert [r.error for r in rows if r.error is not None] == []
+        assert all(np.isfinite(r.log_term) for r in rows)
+
     def test_residuals_are_consistent(self):
         rows = run_scan(small_config())
         for r in rows:
