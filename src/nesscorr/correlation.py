@@ -47,9 +47,13 @@ FULL_TOL = 1e-10
 SPECTRUM_SLACK = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorrelationMatrix:
-    """Dense Hermitian correlation matrix with its physical site map."""
+    """Dense Hermitian correlation matrix with its physical site map.
+
+    Immutable: ``mat`` is a read-only view (no copy) of the given array,
+    so the spectra memoized in ``_spectra`` stay those of ``mat``.
+    """
 
     sites: np.ndarray
     mat: np.ndarray
@@ -57,8 +61,9 @@ class CorrelationMatrix:
     _spectra: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self.sites = np.asarray(self.sites, dtype=int)
-        self.mat = np.asarray(self.mat, dtype=complex)
+        object.__setattr__(self, "sites", np.asarray(self.sites, dtype=int))
+        object.__setattr__(self, "mat", np.asarray(self.mat, dtype=complex).view())
+        self.mat.flags.writeable = False
         n = len(self.sites)
         if self.mat.shape != (n, n):
             raise DomainError(

@@ -1,5 +1,6 @@
 """Spectral measures: scalar oracles, route equivalence, vanishing theorems."""
 
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -74,8 +75,9 @@ class TestEntropies:
             renyi_entropy(diag_corr([0.5]), -2)
 
     def test_spectrum_error_outside_window(self):
-        bad = diag_corr([0.5])
-        bad.mat = np.array([[1.0 + 1e-4]], dtype=complex)
+        # occupations 0.5 on the diagonal, spectrum {-1e-4, 1 + 1e-4}
+        bad = CorrelationMatrix(sites=[1, 2], mat=[[0.5, 0.5 + 1e-4], [0.5 + 1e-4, 0.5]],
+                                n_left=0)
         with pytest.raises(SpectrumError):
             renyi_entropy(bad, 2)
 
@@ -88,10 +90,27 @@ class TestEntropies:
         assert 0.5 * (lo + hi) == pytest.approx(vn, abs=1e-3)
 
     def test_clamp_count_reported(self):
-        c = diag_corr([0.5])
-        c.mat = np.array([[-1e-8]], dtype=complex)
+        c = diag_corr([-1e-8])
         r = renyi_entropy(c, 2)
         assert r.clamped_count == 1 and r.value == pytest.approx(0.0, abs=1e-7)
+
+
+    def test_matrix_is_immutable_so_spectra_stay_current(self):
+        values = np.diag([0.3, 0.6]).astype(complex)
+        c = diag_corr([0.3, 0.6], n_left=1)
+        first = renyi_entropy(c, 2).value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.mat = np.diag([0.5, 0.5]).astype(complex)
+        with pytest.raises(ValueError):
+            c.mat[0, 0] = 0.5
+        for block in c.blocks():
+            with pytest.raises(ValueError):
+                block.mat[...] = 0.5
+        assert renyi_entropy(c, 2).value == first
+        # the read-only view is no copy and leaves the caller's array writable
+        given = CorrelationMatrix(sites=[1, 2], mat=values, n_left=0)
+        assert np.shares_memory(given.mat, values) and values.flags.writeable
+        assert renyi_entropy(diag_corr([0.5, 0.5]), 2).value == pytest.approx(2 * np.log(2))
 
 
 class TestMutualInformation:
