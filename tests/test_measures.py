@@ -94,9 +94,7 @@ class TestEntropies:
         r = renyi_entropy(c, 2)
         assert r.clamped_count == 1 and r.value == pytest.approx(0.0, abs=1e-7)
 
-
     def test_matrix_is_immutable_so_spectra_stay_current(self):
-        values = np.diag([0.3, 0.6]).astype(complex)
         c = diag_corr([0.3, 0.6], n_left=1)
         first = renyi_entropy(c, 2).value
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -108,6 +106,7 @@ class TestEntropies:
                 block.mat[...] = 0.5
         assert renyi_entropy(c, 2).value == first
         # the read-only view is no copy and leaves the caller's array writable
+        values = np.diag([0.3, 0.6]).astype(complex)
         given = CorrelationMatrix(sites=[1, 2], mat=values, n_left=0)
         assert np.shares_memory(given.mat, values) and values.flags.writeable
         assert renyi_entropy(diag_corr([0.5, 0.5]), 2).value == pytest.approx(2 * np.log(2))
