@@ -140,7 +140,7 @@ class ScanRow:
     degenerate: bool = False      # a nonzero edge difference within the radius
     error: str | None = None
     clamped_count: int = 0        # spectrum eigenvalues clamped into [0, 1]
-    imag_residual: float = 0.0    # |Im| of the log-sum before it is dropped
+    imag_residual: float = 0.0    # E, E_n: max |Im| of the C_Xi eigenvalues
     exact_zero: bool = False      # an edge difference is 0: the omission rule
 
 

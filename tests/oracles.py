@@ -10,6 +10,9 @@ smooth forms ``nesscorr.asymptotics`` evaluates; ``q_n_mp`` and
 cancellation to guard against.  ``c_xi_expression``
 is the plain-expression form of the partial-time-reversal matrix that
 ``nesscorr.measures.build_c_xi`` must reproduce bit for bit.
+``xi_negativity_complex`` is the complex route E and E_n took from the
+C_Xi spectrum before it was made real: a 1e-8 real-axis clamp, principal
+square roots and a complex log-sum.
 ``occupation_log_sum_mp`` evaluates ln det[C^2 + (I - C)^2] in mpmath at
 34 digits from the matrix itself, with no spectrum and no Gamma matrices.
 ``lu_factor_logdet`` takes log det from scipy's LU factorization, a
@@ -206,6 +209,23 @@ def c_xi_expression(mat: np.ndarray, size_left: int) -> np.ndarray:
     lhs = np.eye(n) + gamma_p @ gamma_m
     x = np.linalg.solve(lhs, gamma_p + gamma_m)
     return 0.5 * (np.eye(n) - x)
+
+
+def xi_negativity_complex(xi: np.ndarray, occupation: float, n: int) -> complex:
+    """E (n = 1) or E_n (even n) from C_Xi eigenvalues ``xi``, in complex arithmetic.
+
+    Eigenvalues within 1e-8 of the real axis are put on it and clipped
+    into [0, 1]; the others pass through.  E takes principal square
+    roots, E_n integer powers; the log-sum keeps its imaginary part.
+    """
+    xi = xi.astype(complex)
+    real_like = np.abs(xi.imag) <= 1e-8
+    xi[real_like] = np.clip(xi.real[real_like], 0.0, 1.0)
+    if n == 1:
+        kernel = np.sqrt(xi) + np.sqrt(1.0 - xi)
+    else:
+        kernel = xi ** (n // 2) + (1.0 - xi) ** (n // 2)
+    return complex(np.sum(np.log(kernel))) + 0.5 * n * occupation
 
 
 def occupation_log_sum_mp(mat: np.ndarray, dps: int = 34) -> float:

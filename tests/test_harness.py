@@ -394,8 +394,7 @@ class TestRunScan:
 
     def test_rows_carry_measure_diagnostics(self, monkeypatch):
         # tag each negativity result with a distinct imaginary residual so
-        # the test sees it travel to its row; the eig route clamps the C_Xi
-        # spectrum onto the real axis, so its own residual is 0 here
+        # the test sees it travel to its row
         real_negativity = harness_module.measures.fermionic_negativity
         expected = {}
 

@@ -22,7 +22,7 @@ from nesscorr.measures import (
     vn_entropy,
 )
 from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
-from oracles import c_xi_expression, occupation_log_sum_mp
+from oracles import c_xi_expression, occupation_log_sum_mp, xi_negativity_complex
 
 BIAS = BiasConfig.from_fermi_momenta(np.pi / 2 + 0.2, np.pi / 2)
 LENGTH_SCAN_CFG = (Path(__file__).resolve().parent.parent / "configs"
@@ -305,6 +305,44 @@ class TestNegativities:
             assert renyi_negativity_det(c_a, c_a.n_left, n).imag_residual <= 1e-8
 
 
+class TestRealXiSpectrum:
+    """E and E_n from the real parts of the C_Xi spectrum."""
+
+    @pytest.mark.parametrize("mode", ["longrange", "full"])
+    @pytest.mark.parametrize("ell", [8, 64])
+    @pytest.mark.parametrize("model", [SingleSite(1.0, 1.0), ConstantS.beamsplitter(0.5)])
+    def test_matches_the_complex_route(self, model, ell, mode):
+        c = built_union(model, ell_l=ell, ell_r=ell, mode=mode)
+        c_xi, occupation = build_c_xi(c, c.n_left)
+        xi = gen_eigvals(c_xi)
+        for n, got in ((1, fermionic_negativity(c, c.n_left)),
+                       (2, renyi_negativity_eig(c, c.n_left, 2)),
+                       (4, renyi_negativity_eig(c, c.n_left, 4))):
+            want = xi_negativity_complex(xi, occupation, n)
+            assert abs(got.value - want.real) <= 1e-13 * abs(want.real)
+
+    def test_imag_residual_is_the_largest_imaginary_part_of_the_spectrum(self):
+        c = built_union(SingleSite(1.0, 1.0), ell_l=8, ell_r=8)
+        imag = np.max(np.abs(gen_eigvals(build_c_xi(c, c.n_left)[0]).imag))
+        assert imag > 0
+        assert fermionic_negativity(c, c.n_left).imag_residual == imag
+        for n in (2, 4):
+            assert renyi_negativity_eig(c, c.n_left, n).imag_residual == imag
+
+    @pytest.mark.parametrize("shift", [1e-6j, -1e-5, 1.0 + 1e-5])
+    def test_spectrum_off_the_real_axis_or_outside_the_unit_interval_raises(
+            self, monkeypatch, shift):
+        def patched(m):
+            xi = gen_eigvals(m)
+            xi[np.argmin(xi.real)] += shift
+            return xi
+
+        monkeypatch.setattr(measures_module, "gen_eigvals", patched)
+        c = built_union(SingleSite(1.0, 1.0))
+        with pytest.raises(SpectrumError, match="C_Xi"):
+            fermionic_negativity(c, c.n_left)
+
+
 # beamsplitters whose C_A has an exactly zero block across the cut
 DECOUPLED = [(0.0, "longrange"), (1.0, "longrange"), (0.0, "full")]
 
@@ -318,7 +356,7 @@ class TestDecoupledCut:
         c = built_union(ConstantS.beamsplitter(transmission), ell_l=ell, ell_r=ell,
                         mode=mode)
         assert not c.mat[:ell, ell:].any()
-        xi, _, occupation = measures_module._xi_spectrum(c, c.n_left)
+        xi, _, occupation, _ = measures_module._xi_spectrum(c, c.n_left)
         dense, dense_occupation = build_c_xi(c, c.n_left)
         np.testing.assert_allclose(np.sort(xi), np.sort(gen_eigvals(dense)),
                                    rtol=0, atol=1e-12)
