@@ -3,7 +3,9 @@
 Special functions
 -----------------
 Every logarithmic coefficient is built from four functions of the
-transmission probability.  With R = 1 - p (or 1 - T):
+transmission probability.  Q_n forms 1 - p itself; Qt_n, q and qt take
+the reflection R = 1 - T from their callers, which hold it without the
+rounding of 1 - T near T = 1:
 
     Q_n(p)  = -n/12 + int_0^1 dx/(2 pi^2 x) { ln[(1+px)^n + ((1-p)x)^n]
               + ln[((x+p)^n + (1-p)^n) / (p^n + (1-p)^n)] },
@@ -44,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BiasError, DomainError, ScopeError
-from .model import BiasConfig, Geometry, ImpurityModel, mirror_overlap
+from .model import PROBABILITY_TOL, BiasConfig, Geometry, ImpurityModel, mirror_overlap
 from .quadrature import adaptive_gauss_legendre
 
 Q_TOL = 1e-10
@@ -101,14 +103,19 @@ def q_n(p: float, n: float) -> float:
     return -n / 12.0 + _unit_integral(f, n)
 
 
+def _check_probabilities(t: float, r: float):
+    if not (0.0 <= t <= 1.0 and 0.0 <= r <= 1.0) or abs(t + r - 1.0) > PROBABILITY_TOL:
+        raise DomainError(
+            f"transmission T={t} and reflection R={r} must lie in [0, 1] "
+            "and sum to 1")
+
+
 @lru_cache(maxsize=4096)
-def q_tilde_n(t: float, n: float) -> float:
-    """Qt_n(T): double-jump kernel, symmetric under T <-> 1 - T."""
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"transmission T={t} outside [0, 1]")
+def q_tilde_n(t: float, r: float, n: float) -> float:
+    """Qt_n(T) with R = 1 - T: double-jump kernel, symmetric under T <-> R."""
+    _check_probabilities(t, r)
     if n <= 0:
         raise DomainError(f"index n={n} must be positive")
-    r = 1.0 - t
 
     def f(x):
         # each log's rise above 1: x + t = (t + r x) + t x, x + r = (r + t x) + r x
@@ -123,11 +130,9 @@ def q_tilde_n(t: float, n: float) -> float:
 
 
 @lru_cache(maxsize=1024)
-def q_fun(t: float) -> float:
-    """q(T): von Neumann MI log coefficient; q < 0 on (0, 1), q(0)=q(1)=0."""
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"transmission T={t} outside [0, 1]")
-    r = 1.0 - t
+def q_fun(t: float, r: float) -> float:
+    """q(T) with R = 1 - T: von Neumann MI log coefficient; q < 0 on (0, 1), q(0)=q(1)=0."""
+    _check_probabilities(t, r)
     edge = float(_xlx(np.array([t]))[0] + _xlx(np.array([r]))[0])
 
     def f1(x):
@@ -144,18 +149,16 @@ def q_fun(t: float) -> float:
 
 
 @lru_cache(maxsize=1024)
-def q_tilde_fun(t: float) -> float:
-    """qt(T): the companion coefficient; qt > 0 on (0, 1), qt(0)=qt(1)=0."""
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"transmission T={t} outside [0, 1]")
-    r = 1.0 - t
+def q_tilde_fun(t: float, r: float) -> float:
+    """qt(T) with R = 1 - T: the companion coefficient; qt > 0 on (0, 1), qt(0)=qt(1)=0."""
+    _check_probabilities(t, r)
     edge = float(_xlx(np.array([t]))[0] + _xlx(np.array([r]))[0])
 
     def f(x):
         num = (_xlx(r + t * x) + _xlx(t + r * x)) / (1.0 + x) - edge
         return num / x / np.pi ** 2
 
-    return q_fun(t) + 1.0 / 12.0 + adaptive_gauss_legendre(f, 0.0, 1.0, tol=Q_TOL)
+    return q_fun(t, r) + 1.0 / 12.0 + adaptive_gauss_legendre(f, 0.0, 1.0, tol=Q_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +338,7 @@ def renyi_mi_asym(model: ImpurityModel, bias: BiasConfig, g: Geometry,
 
     def coeffs(t, r):
         c1 = (q_n(t, n) + q_n(r, n) - q0) / (2 * (1 - n))
-        c2 = q_tilde_n(t, n) / (2 * (1 - n))
+        c2 = q_tilde_n(t, r, n) / (2 * (1 - n))
         return c1, c2
 
     return AsymptoticPrediction(
@@ -351,7 +354,7 @@ def vn_mi_asym(model: ImpurityModel, bias: BiasConfig,
     ell_mirror, _, _ = mirror_overlap(g)
 
     def coeffs(t, r):
-        return 0.5 * q_fun(t), 0.5 * q_tilde_fun(t)
+        return 0.5 * q_fun(t, r), 0.5 * q_tilde_fun(t, r)
 
     return AsymptoticPrediction(
         linear_coeff=volume_coeff(model, bias, "mi_vn"),

@@ -316,7 +316,7 @@ def gamma_identities(transmission: float, n: int) -> dict[str, float]:
                          - ((1 / nf - nf) / 12 + q_n(refl, nf)
                             - q_n(transmission, nf))),
         "cross_log": abs(np.sum(log_a * log_b) / (2 * np.pi ** 2)
-                         - q_tilde_n(transmission, nf)),
+                         - q_tilde_n(transmission, refl, nf)),
     }
     if n % 2 == 0:
         log_c = np.log(refl * phases - transmission / phases)

@@ -325,18 +325,18 @@ def run_identities(n_values=(2, 3, 4, 5), even_n_values=(2, 4, 6),
         add("Q_n(1)=0", n, 1.0, abs(asymptotics.q_n(1.0, nf)))
         add("Q_n(0)", n, 0.0,
             abs(asymptotics.q_n(0.0, nf) - (1.0 / nf - nf) / 12.0))
-        add("Qt_n(0)=0", n, 0.0, abs(asymptotics.q_tilde_n(0.0, nf)))
-        add("Qt_n(1)=0", n, 1.0, abs(asymptotics.q_tilde_n(1.0, nf)))
+        add("Qt_n(0)=0", n, 0.0, abs(asymptotics.q_tilde_n(0.0, 1.0, nf)))
+        add("Qt_n(1)=0", n, 1.0, abs(asymptotics.q_tilde_n(1.0, 0.0, nf)))
     for n in range(2, 9):
         gammas = fisher_hartwig.gamma_range(n)
         add("sum_gamma^2", n, float("nan"),
             abs(np.sum(gammas ** 2) - (n ** 3 - n) / 12.0))
-    add("q(0)=0", 1, 0.0, abs(asymptotics.q_fun(0.0)))
-    add("q(1)=0", 1, 1.0, abs(asymptotics.q_fun(1.0)))
-    add("qt(0)=0", 1, 0.0, abs(asymptotics.q_tilde_fun(0.0)))
-    add("qt(1)=0", 1, 1.0, abs(asymptotics.q_tilde_fun(1.0)))
-    add("q(1/2)<0", 1, 0.5, 0.0 if asymptotics.q_fun(0.5) < 0 else 1.0)
-    add("qt(1/2)>0", 1, 0.5, 0.0 if asymptotics.q_tilde_fun(0.5) > 0 else 1.0)
+    add("q(0)=0", 1, 0.0, abs(asymptotics.q_fun(0.0, 1.0)))
+    add("q(1)=0", 1, 1.0, abs(asymptotics.q_fun(1.0, 0.0)))
+    add("qt(0)=0", 1, 0.0, abs(asymptotics.q_tilde_fun(0.0, 1.0)))
+    add("qt(1)=0", 1, 1.0, abs(asymptotics.q_tilde_fun(1.0, 0.0)))
+    add("q(1/2)<0", 1, 0.5, 0.0 if asymptotics.q_fun(0.5, 0.5) < 0 else 1.0)
+    add("qt(1/2)>0", 1, 0.5, 0.0 if asymptotics.q_tilde_fun(0.5, 0.5) > 0 else 1.0)
     return report
 
 

@@ -179,11 +179,10 @@ def q_n_mp(p: float, n: float, dps: int = 30) -> float:
         return float(-n / 12 + _unit_integral_mp(f))
 
 
-def q_tilde_n_mp(t: float, n: float, dps: int = 30) -> float:
-    """Qt_n(T) from its smooth representation, evaluated in mpmath."""
+def q_tilde_n_mp(t: float, r: float, n: float, dps: int = 30) -> float:
+    """Qt_n(T) with R = 1 - T from its smooth representation, in mpmath."""
     with mpmath.workdps(dps):
-        t, n = mpmath.mpf(t), mpmath.mpf(n)
-        r = 1 - t
+        t, r, n = mpmath.mpf(t), mpmath.mpf(r), mpmath.mpf(n)
 
         def f(x):
             den = (t + r * x) ** n + (r + t * x) ** n

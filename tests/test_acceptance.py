@@ -77,13 +77,13 @@ def test_criterion_1_identity_suite():
             failures.append(f"Q_{n}(1) != 0")
         if abs(q_n(0.0, n) - (1 / n - n) / 12) > 1e-9:
             failures.append(f"Q_{n}(0) closed form")
-        if abs(q_tilde_n(0.0, n)) > 1e-8 or abs(q_tilde_n(1.0, n)) > 1e-8:
+        if abs(q_tilde_n(0.0, 1.0, n)) > 1e-8 or abs(q_tilde_n(1.0, 0.0, n)) > 1e-8:
             failures.append(f"Qt_{n} endpoints")
-    if abs(q_fun(0.0)) > 1e-9 or abs(q_fun(1.0)) > 1e-9:
+    if abs(q_fun(0.0, 1.0)) > 1e-9 or abs(q_fun(1.0, 0.0)) > 1e-9:
         failures.append("q endpoints")
-    if abs(q_tilde_fun(0.0)) > 1e-9 or abs(q_tilde_fun(1.0)) > 1e-9:
+    if abs(q_tilde_fun(0.0, 1.0)) > 1e-9 or abs(q_tilde_fun(1.0, 0.0)) > 1e-9:
         failures.append("qt endpoints")
-    if not (q_fun(0.5) < 0 < q_tilde_fun(0.5)):
+    if not (q_fun(0.5, 0.5) < 0 < q_tilde_fun(0.5, 0.5)):
         failures.append("q/qt signs")
     for n in range(2, 9):
         if abs(np.sum(gamma_range(n) ** 2) - (n ** 3 - n) / 12) > 1e-10:

@@ -42,29 +42,29 @@ class TestSpecialFunctions:
 
     @pytest.mark.parametrize("n", [0.5, 2.0, 3.0])
     def test_q_tilde_endpoints_vanish(self, n):
-        assert q_tilde_n(0.0, n) == pytest.approx(0.0, abs=1e-8)
-        assert q_tilde_n(1.0, n) == pytest.approx(0.0, abs=1e-8)
+        assert q_tilde_n(0.0, 1.0, n) == pytest.approx(0.0, abs=1e-8)
+        assert q_tilde_n(1.0, 0.0, n) == pytest.approx(0.0, abs=1e-8)
 
     @pytest.mark.parametrize("t", [0.15, 0.4, 0.75])
     @pytest.mark.parametrize("n", [0.5, 2.0, 5.0])
     def test_q_tilde_symmetric(self, t, n):
-        assert q_tilde_n(t, n) == pytest.approx(q_tilde_n(1 - t, n), abs=1e-10)
+        assert q_tilde_n(t, 1 - t, n) == pytest.approx(q_tilde_n(1 - t, t, n), abs=1e-10)
 
     @pytest.mark.parametrize("n", [0.5, 1.0, 2.0, 3.0, 4.0])
     def test_dual_representation_agreement(self, n):
         for p in np.linspace(0.0, 1.0, 21):
             assert q_n(float(p), n) == pytest.approx(
                 q_n_singular_form(float(p), n), abs=1e-7)
-            assert q_tilde_n(float(p), n) == pytest.approx(
+            assert q_tilde_n(float(p), 1.0 - float(p), n) == pytest.approx(
                 q_tilde_n_singular_form(float(p), n), abs=1e-7)
 
     def test_q_functions_endpoint_zeros_and_signs(self):
-        assert q_fun(0.0) == pytest.approx(0.0, abs=1e-10)
-        assert q_fun(1.0) == pytest.approx(0.0, abs=1e-10)
-        assert q_tilde_fun(0.0) == pytest.approx(0.0, abs=1e-10)
-        assert q_tilde_fun(1.0) == pytest.approx(0.0, abs=1e-10)
-        assert q_fun(0.5) < 0
-        assert q_tilde_fun(0.5) > 0
+        assert q_fun(0.0, 1.0) == pytest.approx(0.0, abs=1e-10)
+        assert q_fun(1.0, 0.0) == pytest.approx(0.0, abs=1e-10)
+        assert q_tilde_fun(0.0, 1.0) == pytest.approx(0.0, abs=1e-10)
+        assert q_tilde_fun(1.0, 0.0) == pytest.approx(0.0, abs=1e-10)
+        assert q_fun(0.5, 0.5) < 0
+        assert q_tilde_fun(0.5, 0.5) > 0
 
     @pytest.mark.parametrize("t", [0.3, 0.5, 0.8])
     def test_q_fun_is_limit_of_q_n_combination(self, t):
@@ -74,13 +74,13 @@ class TestSpecialFunctions:
             return q_n(t, n) + q_n(1 - t, n) - (1 / n - n) / 12
 
         limit = (g(1 - h) - g(1 + h)) / (2 * h)
-        assert q_fun(t) == pytest.approx(limit, abs=1e-4)
+        assert q_fun(t, 1 - t) == pytest.approx(limit, abs=1e-4)
 
     @pytest.mark.parametrize("t", [0.3, 0.5, 0.8])
     def test_q_tilde_fun_is_limit_of_q_tilde_n(self, t):
         h = 1e-3
-        limit = (q_tilde_n(t, 1 - h) - q_tilde_n(t, 1 + h)) / (2 * h)
-        assert q_tilde_fun(t) == pytest.approx(limit, abs=1e-4)
+        limit = (q_tilde_n(t, 1 - t, 1 - h) - q_tilde_n(t, 1 - t, 1 + h)) / (2 * h)
+        assert q_tilde_fun(t, 1 - t) == pytest.approx(limit, abs=1e-4)
 
     @pytest.mark.parametrize("p", [0.0, 1e-17, 1e-16, 3e-16, 1e-15, 1e-12, 1e-8,
                                    1e-4, 0.01, 0.1, 0.3])
@@ -89,14 +89,25 @@ class TestSpecialFunctions:
         # as a difference of powers, its rounding left an eps / x error
         # that no panel count could integrate
         assert abs(q_n(p, 0.5) - q_n_mp(p, 0.5)) <= 1e-12
-        assert abs(q_tilde_n(p, 0.5) - q_tilde_n_mp(p, 0.5)) <= 1e-12
-        assert abs(q_tilde_n(1.0 - p, 0.5) - q_tilde_n_mp(1.0 - p, 0.5)) <= 1e-12
+        assert abs(q_tilde_n(p, 1.0 - p, 0.5) - q_tilde_n_mp(p, 1.0 - p, 0.5)) <= 1e-12
+        assert abs(q_tilde_n(1.0 - p, p, 0.5) - q_tilde_n_mp(1.0 - p, p, 0.5)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [0.5, 1.0, 2.0])
+    def test_q_tilde_n_takes_the_models_reflection(self, n):
+        # T rounds by one unit here, so 1 - T would be off R by 6.6e-5 relative
+        model = SingleSite(eps0=1e-6)
+        t, r = float(model.transmission(0.3)), float(model.reflection(0.3))
+        assert abs(q_tilde_n(t, r, n) - q_tilde_n_mp(t, r, n)) <= 1e-12
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             q_n(1.2, 2.0)
         with pytest.raises(DomainError):
             q_n(0.5, 0.0)
+        with pytest.raises(DomainError):
+            q_tilde_n(0.5, 0.6, 2.0)
+        with pytest.raises(DomainError):
+            q_fun(1.0, -1e-3)
 
 
 class TestVolumeCoefficients:
@@ -231,7 +242,7 @@ class TestMiAsymptotics:
         g = Geometry(m0=0, d_l=d_r + ell_r, ell_l=ell_l, d_r=d_r, ell_r=ell_r)
         for n in (2, 3):
             p = renyi_mi_asym(model, BIAS, g, n)
-            want = (q_tilde_n(0.35, float(n)) / (1 - n)) * np.log(
+            want = (q_tilde_n(0.35, 0.65, float(n)) / (1 - n)) * np.log(
                 ell_l * ell_r / (ell_l + ell_r))
             assert p.linear_part == 0.0
             assert p.log_part == pytest.approx(want, rel=1e-9)

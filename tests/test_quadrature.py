@@ -240,7 +240,7 @@ def test_full_mode_entry_integrands_bit_exact(monkeypatch, j, m):
 @pytest.mark.parametrize("t", [0.3, 0.77])
 def test_q_fun_integrands_bit_exact(monkeypatch, t):
     calls = _captured(monkeypatch, asymptotics,
-                      lambda: asymptotics.q_fun.__wrapped__(t))
+                      lambda: asymptotics.q_fun.__wrapped__(t, 1.0 - t))
     assert len(calls) == 2  # f1 and f2
     for f, a, b, kwargs in calls:
         assert_bit_exact(f, a, b, **kwargs)
