@@ -119,6 +119,13 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown measure {m!r}")
             if MEASURES[m].indices == "even" and any(n % 2 for n in self.n_values):
                 raise ConfigError(f"measure {m} needs even Renyi indices")
+        negativities = [m for m in self.measures if m in ("E", "E_n")]
+        if negativities and (self.scan_variable == "offset" or self.ell_r_ratio != 1
+                             or self.offset_ratio != 0):
+            raise ConfigError(
+                f"{', '.join(negativities)}: the negativity closed forms hold only in "
+                "the symmetric limit ell_l = ell_r, d_l = d_r; use a length scan with "
+                "scan.ell_r_ratio = 1 and scan.offset_ratio = 0")
         if self.mode not in ("longrange", "full"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.fit_window not in ("upper_half", "all"):
@@ -449,7 +456,8 @@ def parse_config(text: str) -> ExperimentConfig:
       scan.values           comma list, or start:stop[:step]
       scan.ell_r_ratio      length scans: ell_r = ratio * ell [1]
       scan.offset_ratio     length scans: d_l - d_r = ratio * ell [0]
-      measures              comma subset of S_n, MI_n, MI, E_n, E
+      measures              comma subset of S_n, MI_n, MI, E_n, E (E, E_n only
+                            on length scans at ratio 1 and offset ratio 0)
       n_values              comma list of Renyi indices [2]
       mode                  longrange | full [longrange]
       fit.window            upper_half | all [upper_half]

@@ -175,10 +175,15 @@ class TestRunScan:
             assert r.residual == pytest.approx(
                 r.numeric - r.lin_term - r.log_term - r.const_fit, abs=1e-12)
 
-    def test_asymmetric_negativity_rows_record_scope_error(self):
-        cfg = small_config(measures=("E",), ell_r_ratio=2)
-        rows = run_scan(cfg)
-        assert all(r.error is not None and "Scope" in r.error for r in rows)
+    @pytest.mark.parametrize("geometry", [
+        dict(scan_variable="offset", scan_values=(-7, 0, 7),
+             geometry=Geometry(0, 20, 40, 20, 60)),
+        dict(ell_r_ratio=2), dict(offset_ratio=0.5)])
+    @pytest.mark.parametrize("measures", [("MI", "E"), ("E_n",)])
+    def test_asymmetric_negativity_is_a_config_error(self, geometry, measures):
+        # the closed forms exist only in the symmetric limit
+        with pytest.raises(ConfigError, match="ell_l = ell_r, d_l = d_r"):
+            small_config(measures=measures, **geometry)
 
     def test_distance_shift_leaves_rows_unchanged(self):
         cfg1 = small_config(geometry=Geometry(0, 0, 4, 0, 4))
@@ -549,6 +554,12 @@ class TestMeasurePoint:
         assert "numeric" not in out["E[n=1]"]
         assert np.isfinite(out["MI[n=1]"]["numeric"])
 
+    def test_asymmetric_point_reports_numeric_and_analytic_error(self):
+        cfg = small_config(geometry=Geometry(0, 2, 8, 5, 12), measures=("E",))
+        out = measure_point(cfg)["measures"]["E[n=1]"]
+        assert np.isfinite(out["numeric"])
+        assert out["analytic_error"].startswith("ScopeError")
+
 
 class TestCli:
     def test_scan_roundtrip(self, tmp_path, capsys):
@@ -614,15 +625,29 @@ class TestCli:
     def test_missing_file_exit_code(self, capsys):
         assert main(["scan", "/nonexistent/x.cfg"]) == 1
 
+    def test_asymmetric_negativity_config_exit_code(self, tmp_path, capsys):
+        cfg_file = tmp_path / "offset.cfg"
+        cfg_file.write_text(CONFIG_TEXT.replace(
+            "measures = MI,MI_n", "measures = MI,E").replace(
+            "geometry.d_r = 0", "geometry.d_r = 20\ngeometry.ell_l = 40\n"
+            "geometry.ell_r = 60").replace(
+            "scan.variable = length\nscan.values = 8,16,32",
+            "scan.variable = offset\nscan.values = -4,0,4").replace(
+            "output.csv = out.csv", f"output.csv = {tmp_path / 'offset.csv'}"))
+        assert main(["scan", str(cfg_file)]) == 1
+        assert not (tmp_path / "offset.csv").exists()
+
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
-        # asymmetric negativity rows fail with a scope error: exit 2
+        # constant_s in full mode next to the impurity: its MI rows fail
+        # with a SpectrumError, exit 2
         cfg_file = tmp_path / "fail.cfg"
         cfg_file.write_text(CONFIG_TEXT.replace(
-            "measures = MI,MI_n", "measures = E").replace(
-            "scan.values = 8,16,32",
-            "scan.values = 8,16,32\nscan.ell_r_ratio = 2").replace(
+            "bias.kf_l = 1.7707963267948966", "bias.kf_l = 3.0").replace(
+            "geometry.d_r = 0", "geometry.d_r = 1\nmode = full").replace(
+            "scan.values = 8,16,32", "scan.values = 4").replace(
             "output.csv = out.csv", f"output.csv = {tmp_path / 'fail.csv'}"))
         assert main(["scan", str(cfg_file)]) == 2
+        assert "SpectrumError" in capsys.readouterr().err
 
     def test_identities_text_output(self, capsys):
         assert main(["identities"]) == 0
