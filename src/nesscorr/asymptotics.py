@@ -3,9 +3,8 @@
 Special functions
 -----------------
 Every logarithmic coefficient is built from four functions of the
-transmission probability.  Q_n forms 1 - p itself; Qt_n, q and qt take
-the reflection R = 1 - T from their callers, which hold it without the
-rounding of 1 - T near T = 1:
+transmission probability.  With R = 1 - p, or the reflection R = 1 - T
+that Qt_n, q and qt take from callers, free of 1 - T's rounding near T = 1:
 
     Q_n(p)  = -n/12 + int_0^1 dx/(2 pi^2 x) { ln[(1+px)^n + ((1-p)x)^n]
               + ln[((x+p)^n + (1-p)^n) / (p^n + (1-p)^n)] },
@@ -105,9 +104,7 @@ def q_n(p: float, n: float) -> float:
 
 def _check_probabilities(t: float, r: float):
     if not (0.0 <= t <= 1.0 and 0.0 <= r <= 1.0) or abs(t + r - 1.0) > PROBABILITY_TOL:
-        raise DomainError(
-            f"transmission T={t} and reflection R={r} must lie in [0, 1] "
-            "and sum to 1")
+        raise DomainError(f"T={t}, R={r}: need T, R in [0, 1] with T + R = 1")
 
 
 @lru_cache(maxsize=4096)

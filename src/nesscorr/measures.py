@@ -164,8 +164,7 @@ def build_c_xi(c_a: CorrelationMatrix, size_left: int) -> tuple[np.ndarray, floa
     return np.multiply(0.5, x, out=x), occupation
 
 
-def _xi_spectrum(c_a: CorrelationMatrix,
-                 size_left: int) -> tuple[np.ndarray, int, float, float]:
+def _xi_spectrum(c_a: CorrelationMatrix, size_left: int) -> tuple[np.ndarray, int, float, float]:
     """Real C_Xi eigenvalues clipped into [0, 1], with diagnostics.
 
     Returns the eigenvalues, the clipped count, the occupation term
@@ -198,7 +197,7 @@ def _xi_spectrum(c_a: CorrelationMatrix,
         imag = float(np.max(np.abs(xi.imag)))
         if imag > 1e-8:
             raise SpectrumError(
-                f"C_Xi eigenvalue {imag:.3e} off the real axis; its spectrum is real")
+                f"a C_Xi eigenvalue lies {imag:.3e} off the real axis, beyond 1e-8")
         result = (*_clip_to_unit(xi.real, "C_Xi"), occupation, imag)
     c_a._spectra[("xi", size_left)] = result
     return result
