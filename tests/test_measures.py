@@ -356,11 +356,15 @@ class TestDecoupledCut:
         c = built_union(ConstantS.beamsplitter(transmission), ell_l=ell, ell_r=ell,
                         mode=mode)
         assert not c.mat[:ell, ell:].any()
-        xi, _, occupation, _ = measures_module._xi_spectrum(c, c.n_left)
+        xi, _, occupation, imag = measures_module._xi_spectrum(c, c.n_left)
         dense, dense_occupation = build_c_xi(c, c.n_left)
         np.testing.assert_allclose(np.sort(xi), np.sort(gen_eigvals(dense)),
                                    rtol=0, atol=1e-12)
         assert abs(occupation - dense_occupation) <= 1e-12
+        # the residual is the larger of the two blocks' own
+        c_l, c_r = c.blocks()
+        assert imag == max(np.max(np.abs(gen_eigvals(build_c_xi(c_l, c_l.dim)[0]).imag)),
+                           np.max(np.abs(gen_eigvals(build_c_xi(c_r, 0)[0]).imag)))
 
     @pytest.mark.parametrize("model, mode, dims", [
         (ConstantS.beamsplitter(0.0), "longrange", [5, 7]),
