@@ -45,6 +45,8 @@ from .quadrature import InitialPanels
 ENTRY_TOL = 1e-11
 FULL_TOL = 1e-10
 SPECTRUM_SLACK = 1e-8
+# cache key of the last full-mode build's (sites, mat); window keys are tuples
+_LAST_FULL = "last full build"
 
 
 @dataclass(frozen=True)
@@ -297,6 +299,13 @@ def build_corr_matrix(model: ImpurityModel, bias: BiasConfig, g: Geometry,
     A_L block precedes the A_R block); ``"A_L"`` and ``"A_R"`` return the
     matching view from :meth:`CorrelationMatrix.blocks`.  ``mode`` selects
     the long-range kernel or the finite-distance quadrature.
+
+    ``cache`` is a dict shared only between builds with the same model
+    and bias.  It memoizes the long-range window integrals per
+    (kind, frequency) and holds the last successful full-mode build's
+    site map and matrix: a full-mode entry depends on its two sites
+    alone, so the next full-mode build copies every pair of sites that
+    build held and integrates only the others, bit for bit as if fresh.
     """
     if subsystem not in ("A_L", "A_R", "A"):
         raise DomainError(f"unknown subsystem {subsystem!r}")
@@ -309,8 +318,18 @@ def build_corr_matrix(model: ImpurityModel, bias: BiasConfig, g: Geometry,
     mat = np.zeros((n, n), dtype=complex)
 
     if mode == "full":
-        upper = np.triu_indices(n)
-        mat[upper] = corr_entry_full(model, bias, sites[upper[0]], sites[upper[1]], g.m0)
+        held = np.zeros(n, dtype=bool)
+        if cache is not None and _LAST_FULL in cache:
+            # both site maps ascend, so the upper triangle maps to the upper
+            # triangle; the lower one is discarded by the Hermitian fill
+            old_sites, old_mat = cache[_LAST_FULL]
+            pos = np.minimum(np.searchsorted(old_sites, sites), len(old_sites) - 1)
+            held = old_sites[pos] == sites
+            mat[np.ix_(held, held)] = old_mat[np.ix_(pos[held], pos[held])]
+        row, col = np.triu_indices(n)
+        fresh = ~(held[row] & held[col])
+        row, col = row[fresh], col[fresh]
+        mat[row, col] = corr_entry_full(model, bias, sites[row], sites[col], g.m0)
     else:
         cache = {} if cache is None else cache
         # sites within each block are consecutive integers, so the site
@@ -337,6 +356,8 @@ def build_corr_matrix(model: ImpurityModel, bias: BiasConfig, g: Geometry,
     mat += upper
     mat += np.conjugate(upper, out=upper).T
     c_a = CorrelationMatrix(sites=sites, mat=mat, n_left=nl)
+    if mode == "full" and cache is not None:
+        cache[_LAST_FULL] = (c_a.sites, c_a.mat)
     if subsystem == "A":
         return c_a
     c_l, c_r = c_a.blocks()

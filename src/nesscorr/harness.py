@@ -226,14 +226,18 @@ def run_scan(cfg: ExperimentConfig) -> list[ScanRow]:
     """Execute a scan; failed grid points are recorded, not fatal."""
     keys = _measure_keys(cfg)
     series: dict = {key: [] for key in keys}
-    entry_cache: dict = {}  # window integrals shared across the grid
+    # window integrals, and the last full-mode C_A whose entries the next
+    # point copies for the site pairs it shares; one model and bias per scan
+    entry_cache: dict = {}
     sides = None  # the last point's (C_L, C_R), for _numeric_measures to reuse
     for value in cfg.scan_values:
         g = geometry_at(cfg, value)
         diffs = asymptotics.edge_differences(g)
         degenerate = any(0 < abs(d) <= cfg.degeneracy_radius for d in diffs)
         if sides is not None and (sides[0].dim, sides[1].dim) != (g.ell_l, g.ell_r):
-            sides = None  # a length scan: no side can match; free the old C_A first
+            # a length scan: no side can match; free the old C_A first
+            # (in full mode entry_cache keeps it until this build replaces it)
+            sides = None
         try:
             point, sides = _numeric_measures(cfg, g, entry_cache, sides)
         except NesscorrError as exc:
@@ -452,6 +456,10 @@ def parse_config(text: str) -> ExperimentConfig:
       bias.kf_l, bias.kf_r  Fermi momenta in radians; or bias.mu_l/mu_r
       bias.eta              hopping for mu-based input [1]
       geometry.m0, geometry.d_l, geometry.ell_l, geometry.d_r, geometry.ell_r
+                            a scan places d_l from geometry.d_r and the offset,
+                            and a length scan takes ell_l, ell_r from
+                            scan.values; those template values serve measure
+                            only
       scan.variable         length | offset
       scan.values           comma list, or start:stop[:step]
       scan.ell_r_ratio      length scans: ell_r = ratio * ell [1]

@@ -16,7 +16,10 @@ import numpy as np
 import pytest
 
 import oracles
+from nesscorr import correlation
 from nesscorr.correlation import _window_integrals, build_corr_matrix, corr_entry_full
+from nesscorr.errors import DomainError
+from nesscorr.harness import parse_config, run_scan
 from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
 from nesscorr.quadrature import InitialPanels
 
@@ -77,6 +80,81 @@ def test_shared_window_cache_across_builds_equals_oracle():
         assert got.tobytes() == want.tobytes()
     oracle = oracles.WindowIntegrals(model, bias)
     assert all(repr(cache[key]) == repr(oracle(*key)) for key in cache)
+
+
+def _length_scan(m0: int, d: int) -> list:
+    return [Geometry(m0=m0, d_l=d, ell_l=ell, d_r=d, ell_r=ell) for ell in (2, 4, 6)]
+
+
+def _offset_scan(m0: int, d: int) -> list:
+    # as run_scan places offsets: >= 0 moves d_l, < 0 moves d_r
+    return [Geometry(m0=m0, d_l=d + max(v, 0), ell_l=3, d_r=d - min(v, 0), ell_r=4)
+            for v in (-4, -2, 0, 2, 4)]
+
+
+REUSE_CASES = {
+    "eps0=1": (MODELS["eps0=1"], 0, 3),
+    "eps0=0.05 m0=2": (MODELS["eps0=0.05"], 2, 3),
+    "beamsplitter": (MODELS["beamsplitter"], 0, 6),
+}
+
+
+@pytest.mark.parametrize("scan", [_length_scan, _offset_scan])
+@pytest.mark.parametrize("case", REUSE_CASES)
+def test_full_builds_sharing_a_cache_equal_fresh_builds(scan, case):
+    # a shared cache copies the entries of site pairs the last build held
+    model, m0, d = REUSE_CASES[case]
+    bias = BIASES["kf_l>kf_r"]
+    cache: dict = {}
+    for g in scan(m0, d):
+        got = build_corr_matrix(model, bias, g, "A", "full", cache).mat
+        assert got.tobytes() == build_corr_matrix(model, bias, g, "A", "full").mat.tobytes()
+        assert got.tobytes() == oracles.build_corr_matrix(model, bias, g, "full").tobytes()
+        assert len(cache) == 1   # the last build's matrix alone
+
+
+FULL_MODE_SCAN = """model.kind = single_site
+model.eps0 = 1.0
+bias.kf_l = 1.7707963267948966
+bias.kf_r = 1.5707963267948966
+geometry.d_r = 20
+scan.variable = length
+scan.values = 6,10,14
+measures = MI,E
+mode = full
+"""
+
+
+def test_full_mode_scan_integrates_each_site_pair_once(monkeypatch):
+    # ell = 6, 10, 14 at d = 20 hold 78, 210 and 406 upper-triangle pairs,
+    # of which the earlier point held 0, 78 and 210
+    pairs = []
+    real = correlation.corr_entry_full
+
+    def spy(model, bias, j, m, m0=0):
+        pairs.append(np.size(j))
+        return real(model, bias, j, m, m0)
+
+    monkeypatch.setattr(correlation, "corr_entry_full", spy)
+    rows = run_scan(parse_config(FULL_MODE_SCAN))
+    assert all(r.error is None for r in rows)
+    assert pairs == [78, 132, 196]
+
+
+def test_failed_full_build_leaves_the_cache_unchanged(monkeypatch):
+    model, bias = SingleSite(eps0=1.0), BIASES["kf_l>kf_r"]
+    cache: dict = {}
+    build_corr_matrix(model, bias, Geometry(0, 5, 3, 5, 3), "A", "full", cache)
+    before = dict(cache)
+
+    def failing(*args):
+        raise DomainError("injected")
+
+    monkeypatch.setattr(correlation, "corr_entry_full", failing)
+    with pytest.raises(DomainError, match="injected"):
+        build_corr_matrix(model, bias, Geometry(0, 5, 4, 5, 4), "A", "full", cache)
+    assert cache.keys() == before.keys()
+    assert all(cache[key] is before[key] for key in before)
 
 
 def test_window_list_resolves_like_one_call_per_frequency():
@@ -145,19 +223,32 @@ from nesscorr.model import BiasConfig, Geometry, SingleSite
 from nesscorr.quadrature import _gl_rule
 _gl_rule(16), _gl_rule(32)
 bias = BiasConfig.from_fermi_momenta(1.7707963267948966, 1.5707963267948966)
-g = Geometry(m0=0, d_l=20, ell_l=14, d_r=20, ell_r=14)
+cache = {cache}
 tracemalloc.start()
-build_corr_matrix(SingleSite(eps0=1.0), bias, g, "A", "full")
+for ell in {lengths}:
+    g = Geometry(m0=0, d_l=20, ell_l=ell, d_r=20, ell_r=ell)
+    build_corr_matrix(SingleSite(eps0=1.0), bias, g, "A", "full", cache)
 print(json.dumps(tracemalloc.get_traced_memory()[1] / 2 ** 20))
 """
 
 
-def test_full_build_traced_peak():
-    """One full-mode build at the full_mode workload's largest point."""
+def _traced_peak_mib(lengths, cache: str) -> float:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + (
         [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", MEMORY_SCRIPT], capture_output=True,
+    script = MEMORY_SCRIPT.format(lengths=lengths, cache=cache)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) <= FULL_BUILD_PEAK_MIB
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_full_build_traced_peak():
+    """One full-mode build at the full_mode workload's largest point."""
+    assert _traced_peak_mib((14,), "None") <= FULL_BUILD_PEAK_MIB
+
+
+def test_full_scan_traced_peak():
+    """The full_mode workload's three builds with one shared cache: the
+    cache holds one earlier matrix, not every entry it has seen."""
+    assert _traced_peak_mib((6, 10, 14), "{}") <= FULL_BUILD_PEAK_MIB

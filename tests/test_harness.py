@@ -387,6 +387,13 @@ class TestRunScan:
         assert len(sizes) == 3 * len(cfg.scan_values)
         _assert_rows_match_fresh_points(cfg, rows)
 
+    def test_full_mode_length_scan_matches_fresh_points(self):
+        # each point reuses the entries of the site pairs the last one held
+        cfg = small_config(model=SingleSite(eps0=1.0), mode="full", scan_values=(2, 4, 6),
+                           geometry=Geometry(0, 0, 1, 5, 1), measures=ALL_MEASURES,
+                           n_values=(2, 4))
+        _assert_rows_match_fresh_points(cfg, run_scan(cfg))
+
     def test_full_mode_scan_tracks_longrange_at_large_distance(self):
         geometry = Geometry(0, 300, 4, 300, 4)
         base = dict(scan_values=(4, 6), measures=("MI_n",),
@@ -490,6 +497,19 @@ class TestConfigParsing:
         keys = {key for line in table.splitlines()[2:]
                 for key in line.split("|")[1].replace("`", "").replace(",", " ").split()}
         assert keys == harness_module.CONFIG_KEYS
+
+    def test_scans_place_d_l_from_d_r(self):
+        # the template's d_l, and in length scans its lengths, serve measure only
+        with open(os.path.join(ROOT, "configs", "symmetric_length_scan.cfg")) as fh:
+            text = fh.read().replace("geometry.d_l = 0", "geometry.d_l = 10")
+        cfg = parse_config(text)
+        assert cfg.geometry.d_l == 10
+        g = geometry_at(cfg, 16)
+        assert (g.d_l, g.d_r, g.ell_l, g.ell_r) == (0, 0, 16, 16)
+        with open(os.path.join(ROOT, "configs", "offset_scan.cfg")) as fh:
+            cfg = parse_config(fh.read() + "geometry.d_l = 7\n")
+        g = geometry_at(cfg, -350)
+        assert (g.d_l, g.d_r, g.ell_l, g.ell_r) == (400, 750, 100, 200)
 
     def test_mu_based_bias(self):
         text = CONFIG_TEXT.replace(
