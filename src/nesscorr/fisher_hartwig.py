@@ -144,7 +144,9 @@ def toeplitz_from_symbol(s: PiecewiseSymbol, m: int) -> np.ndarray:
         raise DomainError(f"matrix size {m} must be >= 1")
     if not s.jumps:
         return s.values[0] * np.eye(m, dtype=complex)
-    return toeplitz(_arc_fourier(s.jumps, s.values, np.arange(1 - m, m)))
+    # the transpose of the reversed-diagonal gather is the same matrix, in the
+    # Fortran order that lu_logdet's LAPACK copy reads contiguously
+    return toeplitz(_arc_fourier(s.jumps, s.values, np.arange(1 - m, m))[::-1]).T
 
 
 def symbol_linear_coeff(s: PiecewiseSymbol) -> complex:

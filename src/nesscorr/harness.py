@@ -5,7 +5,7 @@ offset d_l - d_r) once.  At each point it evaluates every requested
 measure by the two routes that ``MEASURES`` pairs for it: exact
 correlation-matrix spectra and the closed-form asymptotics.  Each series
 then fits its one free additive constant by least squares over a tail
-window, and the rows are plot-ready.
+window (the upper half of the grid), and the rows are plot-ready.
 
 Each grid point builds C_A once; C_L and C_R are its diagonal blocks.
 Within a scan, a side block equal bit for bit to the previous point's
@@ -33,7 +33,7 @@ from .densela import lu_logdet
 from .errors import ConfigError, NesscorrError, SpectrumError
 from .model import BiasConfig, ConstantS, Geometry, ImpurityModel, SingleSite, mirror_overlap
 
-DEGENERACY_RADIUS_DEFAULT = 5
+DEGENERACY_RADIUS = 5  # sites: a nonzero edge difference this close flags a row
 
 
 def _entropy_pair(c_a, c_l, c_r, n: int) -> measures.MeasureResult:
@@ -96,8 +96,6 @@ class ExperimentConfig:
     mode: str = "longrange"
     ell_r_ratio: int = 1                  # length scans: ell_r = ratio * ell
     offset_ratio: float = 0.0             # length scans: d_l - d_r = ratio * ell
-    fit_window: str = "upper_half"        # "upper_half" | "all"
-    degeneracy_radius: int = DEGENERACY_RADIUS_DEFAULT
     output_csv: str | None = None
 
     def __post_init__(self):
@@ -128,8 +126,6 @@ class ExperimentConfig:
                 "scan.ell_r_ratio = 1 and scan.offset_ratio = 0")
         if self.mode not in ("longrange", "full"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.fit_window not in ("upper_half", "all"):
-            raise ConfigError(f"unknown fit window {self.fit_window!r}")
 
 
 @dataclass
@@ -233,7 +229,7 @@ def run_scan(cfg: ExperimentConfig) -> list[ScanRow]:
     for value in cfg.scan_values:
         g = geometry_at(cfg, value)
         diffs = asymptotics.edge_differences(g)
-        degenerate = any(0 < abs(d) <= cfg.degeneracy_radius for d in diffs)
+        degenerate = any(0 < abs(d) <= DEGENERACY_RADIUS for d in diffs)
         if sides is not None and (sides[0].dim, sides[1].dim) != (g.ell_l, g.ell_r):
             # a length scan: no side can match; free the old C_A first
             # (in full mode entry_cache keeps it until this build replaces it)
@@ -259,7 +255,7 @@ def run_scan(cfg: ExperimentConfig) -> list[ScanRow]:
             row.clamped_count = measured.clamped_count
             row.imag_residual = measured.imag_residual
 
-    first = 0 if cfg.fit_window == "all" else len(cfg.scan_values) // 2
+    first = len(cfg.scan_values) // 2
     for rows in series.values():
         window = [i for i in range(first, len(rows)) if rows[i].error is None]
         const = fit_constant([r.numeric for r in rows],
@@ -440,10 +436,10 @@ def _int_list(value: str) -> tuple[int, ...]:
 
 CONFIG_KEYS = frozenset("""
     model.kind model.eps0 model.eta model.transmission
-    bias.kf_l bias.kf_r bias.mu_l bias.mu_r bias.eta
+    bias.kf_l bias.kf_r bias.mu_l bias.mu_r
     geometry.m0 geometry.d_l geometry.ell_l geometry.d_r geometry.ell_r
     scan.variable scan.values scan.ell_r_ratio scan.offset_ratio
-    measures n_values mode fit.window fit.degeneracy_radius output.csv""".split())
+    measures n_values mode output.csv""".split())
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -451,10 +447,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
     Keys (defaults in brackets):
       model.kind            single_site | constant_s
-      model.eps0, model.eta single_site on-site energy and hopping [eta=1]
+      model.eps0, model.eta single_site on-site energy; the hopping [1], which
+                            for either kind sets k_F = arccos(-mu / 2 eta)
       model.transmission    constant_s beamsplitter transmission
       bias.kf_l, bias.kf_r  Fermi momenta in radians; or bias.mu_l/mu_r
-      bias.eta              hopping for mu-based input [1]
       geometry.m0, geometry.d_l, geometry.ell_l, geometry.d_r, geometry.ell_r
                             a scan places d_l from geometry.d_r and the offset,
                             and a length scan takes ell_l, ell_r from
@@ -468,9 +464,9 @@ def parse_config(text: str) -> ExperimentConfig:
                             on length scans at ratio 1 and offset ratio 0)
       n_values              comma list of Renyi indices [2]
       mode                  longrange | full [longrange]
-      fit.window            upper_half | all [upper_half]
-      fit.degeneracy_radius near-degeneracy flag radius in sites [5]
       output.csv            path for the scan CSV [none]
+
+    A scan fits each series' constant over the upper half of its grid.
     """
     kv = _parse_kv(text)
     unknown = sorted(set(kv) - CONFIG_KEYS)
@@ -498,10 +494,11 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"{given}: {exc}") from exc
 
     kind = need("model.kind")
+    eta = value("model.eta", float, "1")
     if kind == "single_site":
-        eps0, model_eta = value("model.eps0", float), value("model.eta", float, "1")
+        eps0 = value("model.eps0", float)
         model: ImpurityModel = checked(("model.eps0", "model.eta"),
-                                       lambda: SingleSite(eps0=eps0, eta=model_eta))
+                                       lambda: SingleSite(eps0=eps0, eta=eta))
     elif kind == "constant_s":
         transmission = value("model.transmission", float)
         model = checked(("model.transmission",),
@@ -509,15 +506,13 @@ def parse_config(text: str) -> ExperimentConfig:
     else:
         raise ConfigError(f"unknown model.kind {kind!r}")
 
-    eta_key = "bias.eta" if "bias.eta" in kv else "model.eta"
-    eta = value(eta_key, float, "1")
     if "bias.kf_l" in kv or "bias.kf_r" in kv:
         kf_l, kf_r = value("bias.kf_l", float), value("bias.kf_r", float)
-        bias = checked(("bias.kf_l", "bias.kf_r", eta_key),
+        bias = checked(("bias.kf_l", "bias.kf_r", "model.eta"),
                        lambda: BiasConfig.from_fermi_momenta(kf_l, kf_r, eta))
     else:
         mu_l, mu_r = value("bias.mu_l", float), value("bias.mu_r", float)
-        bias = checked(("bias.mu_l", "bias.mu_r", eta_key),
+        bias = checked(("bias.mu_l", "bias.mu_r", "model.eta"),
                        lambda: BiasConfig(eta=eta, mu_l=mu_l, mu_r=mu_r))
 
     sizes = {name: value(f"geometry.{name}", int, default)
@@ -535,9 +530,6 @@ def parse_config(text: str) -> ExperimentConfig:
         mode=kv.get("mode", "longrange"),
         ell_r_ratio=value("scan.ell_r_ratio", int, "1"),
         offset_ratio=value("scan.offset_ratio", float, "0"),
-        fit_window=kv.get("fit.window", "upper_half"),
-        degeneracy_radius=value("fit.degeneracy_radius", int,
-                                str(DEGENERACY_RADIUS_DEFAULT)),
         output_csv=kv.get("output.csv"))
 
 

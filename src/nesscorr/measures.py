@@ -164,10 +164,12 @@ def build_c_xi(c_a: CorrelationMatrix, size_left: int) -> tuple[np.ndarray, floa
     return np.multiply(0.5, x, out=x), occupation
 
 
-def _xi_spectrum(c_a: CorrelationMatrix, size_left: int) -> tuple[np.ndarray, int, float, float]:
+def xi_spectrum(c_a: CorrelationMatrix, size_left: int) -> tuple[np.ndarray, int, float, float]:
     """Real C_Xi eigenvalues clipped into [0, 1], with diagnostics.
 
-    Returns the eigenvalues, the clipped count, the occupation term
+    The C_Xi stage of E and E_n, for the benchmark to pin by name in place
+    of ``densela.gen_eigvals``; not in the package's ``__all__``.  Returns
+    the eigenvalues, the clipped count, the occupation term
     Tr ln[C^2 + (I - C)^2] of the same build, and max |Im xi| of the
     general eigensolver's output.  The exact spectrum is real in [0, 1]
     (C_Xi is similar to a Hermitian matrix), so the real parts are kept;
@@ -187,8 +189,8 @@ def _xi_spectrum(c_a: CorrelationMatrix, size_left: int) -> tuple[np.ndarray, in
     s = size_left
     if 0 < s < c_a.dim and not c_a.mat[:s, s:].any():
         (xi_l, clamped_l, occ_l, imag_l), (xi_r, clamped_r, occ_r, imag_r) = (
-            _xi_spectrum(CorrelationMatrix(c_a.sites[:s], c_a.mat[:s, :s], s), s),
-            _xi_spectrum(CorrelationMatrix(c_a.sites[s:], c_a.mat[s:, s:], 0), 0))
+            xi_spectrum(CorrelationMatrix(c_a.sites[:s], c_a.mat[:s, :s], s), s),
+            xi_spectrum(CorrelationMatrix(c_a.sites[s:], c_a.mat[s:, s:], 0), 0))
         result = (np.concatenate([xi_l, xi_r]), clamped_l + clamped_r,
                   occ_l + occ_r, max(imag_l, imag_r))
     else:
@@ -205,7 +207,7 @@ def _xi_spectrum(c_a: CorrelationMatrix, size_left: int) -> tuple[np.ndarray, in
 
 def _xi_negativity(c_a: CorrelationMatrix, size_left: int, n: int) -> MeasureResult:
     """sum_xi ln[xi^(n/2) + (1 - xi)^(n/2)] + (n/2) Tr ln[C^2 + (I - C)^2]."""
-    xi, clamped, occupation, imag = _xi_spectrum(c_a, size_left)
+    xi, clamped, occupation, imag = xi_spectrum(c_a, size_left)
     half = 0.5 * n  # ** 0.5, 1.0, 2.0 take numpy's sqrt, copy, square
     value = float(np.sum(np.log(xi ** half + (1.0 - xi) ** half))) + half * occupation
     return MeasureResult(value=value, imag_residual=imag, clamped_count=clamped)

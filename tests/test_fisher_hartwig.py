@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import nesscorr.fisher_hartwig as fh_module
 from nesscorr.asymptotics import q_n, renyi_mi_asym
 from nesscorr.correlation import build_corr_matrix
-from nesscorr.densela import lu_logdet
+from nesscorr.densela import lu_logdet, toeplitz
 from nesscorr.errors import BranchError, DomainError, ScopeError
 from nesscorr.fisher_hartwig import (
     PiecewiseSymbol,
@@ -51,6 +52,16 @@ class TestPiecewiseSymbol:
         for i in range(5):
             for j in range(5):
                 assert k[i, j] == pytest.approx(k[i + 1, j + 1], abs=1e-15)
+
+    @pytest.mark.parametrize("m", [1, 2, 257])
+    def test_matrix_is_fortran_ordered_with_the_gathered_entries(self, m):
+        # the Fortran-ordered matrix is the row-major gather, bit for bit
+        s = PiecewiseSymbol(jumps=(-1.0, 0.3, 2.0), values=(2.0, 1j, 0.5))
+        k = toeplitz_from_symbol(s, m)
+        gathered = toeplitz(fh_module._arc_fourier(s.jumps, s.values,
+                                                   np.arange(1 - m, m)))
+        assert k.flags.f_contiguous
+        assert np.ascontiguousarray(k).tobytes() == gathered.tobytes()
 
     def test_fourier_reconstruction_oracle(self):
         # entries equal per-arc dense trapezoid Fourier coefficients

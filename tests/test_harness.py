@@ -199,8 +199,7 @@ class TestRunScan:
     def test_degenerate_offsets_flagged(self):
         cfg = small_config(scan_variable="offset",
                            scan_values=(-20, -3, 0, 3, 20),
-                           geometry=Geometry(0, 0, 8, 30, 8),
-                           degeneracy_radius=5)
+                           geometry=Geometry(0, 0, 8, 30, 8))
         rows = run_scan(cfg)
         flagged = {r.scan_value for r in rows if r.degenerate}
         assert {-3, 3}.issubset(flagged)
@@ -479,7 +478,9 @@ class TestConfigParsing:
             parse_config(CONFIG_TEXT.replace("n_values = 2", "n_values = 2,3,2"))
 
     def test_unknown_key_rejected(self):
-        for typo in ("mod = full", "fit.windw = all"):
+        # bias.eta, fit.window and fit.degeneracy_radius were keys once
+        for typo in ("mod = full", "fit.windw = all", "bias.eta = 1",
+                     "fit.window = all", "fit.degeneracy_radius = 3"):
             with pytest.raises(ConfigError, match=typo.split(" =")[0]):
                 parse_config(CONFIG_TEXT + typo + "\n")
 
@@ -517,6 +518,9 @@ class TestConfigParsing:
             "bias.kf_r = 1.5707963267948966", "bias.mu_r = 0.0")
         cfg = parse_config(text)
         assert cfg.bias.kf_r == pytest.approx(np.pi / 2)
+        # model.eta is the one hopping, for constant_s too
+        cfg = parse_config(text + "model.eta = 2\n")
+        assert cfg.bias.kf_l == pytest.approx(np.arccos(-0.05))
 
 
     @pytest.mark.parametrize("line", ["model.eps0 = one", "geometry.d_l = 2.5",

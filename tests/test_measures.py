@@ -356,7 +356,7 @@ class TestDecoupledCut:
         c = built_union(ConstantS.beamsplitter(transmission), ell_l=ell, ell_r=ell,
                         mode=mode)
         assert not c.mat[:ell, ell:].any()
-        xi, _, occupation, imag = measures_module._xi_spectrum(c, c.n_left)
+        xi, _, occupation, imag = measures_module.xi_spectrum(c, c.n_left)
         dense, dense_occupation = build_c_xi(c, c.n_left)
         np.testing.assert_allclose(np.sort(xi), np.sort(gen_eigvals(dense)),
                                    rtol=0, atol=1e-12)
