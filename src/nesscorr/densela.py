@@ -94,27 +94,6 @@ def gen_eigvals(m) -> np.ndarray:
         raise ConvergenceError(f"eigenvalue QR iteration failed: {exc}") from exc
 
 
-def _first_dependent_column(m: np.ndarray) -> int:
-    """Index of the first column of a singular ``m`` that is a linear
-    combination of the columns before it.
-
-    In exact arithmetic this is where LU with partial pivoting meets its
-    first zero pivot (LAPACK's ``info - 1``).  Found by bisection over the
-    leading column blocks with ``np.linalg.matrix_rank`` at its default
-    tolerance, so a leading block that is only numerically rank deficient
-    (condition number near 1/eps) names an earlier column.  The last
-    column is taken as dependent without a test, because ``m`` is singular.
-    """
-    lo, hi = 0, m.shape[1]   # m[:, :lo] has full column rank, m[:, :hi] not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if np.linalg.matrix_rank(m[:, :mid]) < mid:
-            hi = mid
-        else:
-            lo = mid
-    return hi - 1
-
-
 def lu_logdet(m) -> complex:
     """log(det(m)) from an LU factorization with partial pivoting.
 
@@ -124,19 +103,14 @@ def lu_logdet(m) -> complex:
     sign), in (-pi, pi]: an angle of -pi is folded to +pi.
 
     ``m`` is singular, and ``SingularMatrixError`` is raised, exactly when
-    the factorization meets a pivot that is exactly zero.  Its
-    ``pivot_index`` is the first column of ``m`` that depends linearly on
-    the columns before it, computed only on this error path.  No pivot
-    floor applies: any nonzero pivot, however small (1e-305, say), gives a
+    the factorization meets a pivot that is exactly zero.  No pivot floor
+    applies: any nonzero pivot, however small (1e-305, say), gives a
     finite log-determinant.
     """
     m = _require_square(m)
     sign, log_abs = np.linalg.slogdet(m)
     if sign == 0 or log_abs == -np.inf:
-        idx = _first_dependent_column(m)
-        raise SingularMatrixError(
-            f"singular matrix: an exactly zero pivot; column {idx} depends "
-            f"linearly on the columns before it", pivot_index=idx)
+        raise SingularMatrixError("singular matrix: an exactly zero pivot")
     phase = float(np.angle(sign))
     if phase == -np.pi:  # keep the principal branch convention (-pi, pi]
         phase = np.pi

@@ -24,10 +24,6 @@ class ConvergenceError(NesscorrError, RuntimeError):
 class SingularMatrixError(NesscorrError, ValueError):
     """A matrix factorization hit an exactly zero pivot."""
 
-    def __init__(self, message, pivot_index=None):
-        super().__init__(message)
-        self.pivot_index = pivot_index
-
 
 class DomainError(NesscorrError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""

@@ -30,8 +30,9 @@ import numpy as np
 from . import asymptotics, fisher_hartwig, measures
 from .correlation import build_corr_matrix
 from .densela import lu_logdet
-from .errors import ConfigError, NesscorrError, SpectrumError
-from .model import BiasConfig, ConstantS, Geometry, ImpurityModel, SingleSite, mirror_overlap
+from .errors import ConfigError, DomainError, NesscorrError, SpectrumError
+from .model import (BiasConfig, ConstantS, Geometry, ImpurityModel, SingleSite,
+                    fermi_momentum, mirror_overlap)
 
 DEGENERACY_RADIUS = 5  # sites: a nonzero edge difference this close flags a row
 
@@ -211,7 +212,7 @@ def fit_constant(numeric, analytic_no_const, window) -> tuple[float, float]:
     """
     window = list(window)
     if not window:
-        raise ConfigError("fit window must be nonempty")
+        raise DomainError("fit window must be nonempty")
     diffs = np.asarray([numeric[i] - analytic_no_const[i] for i in window])
     constant = float(np.mean(diffs))
     rms = float(np.sqrt(np.mean((diffs - constant) ** 2)))
@@ -447,10 +448,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
     Keys (defaults in brackets):
       model.kind            single_site | constant_s
-      model.eps0, model.eta single_site on-site energy; the hopping [1], which
-                            for either kind sets k_F = arccos(-mu / 2 eta)
+      model.eps0, model.eta single_site on-site energy; the hopping (> 0) [1],
+                            which for either kind sets k_F = arccos(-mu / 2 eta)
       model.transmission    constant_s beamsplitter transmission
-      bias.kf_l, bias.kf_r  Fermi momenta in radians; or bias.mu_l/mu_r
+      bias.kf_l, bias.kf_r  Fermi momenta in [0, pi], kept as given; or
+      bias.mu_l, bias.mu_r  chemical potentials in [-2 eta, 2 eta], converted
+                            to k_F.  One form only: a file that sets keys of
+                            both is rejected
       geometry.m0, geometry.d_l, geometry.ell_l, geometry.d_r, geometry.ell_r
                             a scan places d_l from geometry.d_r and the offset,
                             and a length scan takes ell_l, ell_r from
@@ -495,10 +499,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
     kind = need("model.kind")
     eta = value("model.eta", float, "1")
+    if not eta > 0:  # NaN too, and whichever kind or bias form reads it
+        raise ConfigError(f"model.eta = {kv['model.eta']}: the hopping must be > 0")
     if kind == "single_site":
         eps0 = value("model.eps0", float)
-        model: ImpurityModel = checked(("model.eps0", "model.eta"),
-                                       lambda: SingleSite(eps0=eps0, eta=eta))
+        model: ImpurityModel = SingleSite(eps0=eps0, eta=eta)
     elif kind == "constant_s":
         transmission = value("model.transmission", float)
         model = checked(("model.transmission",),
@@ -506,14 +511,20 @@ def parse_config(text: str) -> ExperimentConfig:
     else:
         raise ConfigError(f"unknown model.kind {kind!r}")
 
-    if "bias.kf_l" in kv or "bias.kf_r" in kv:
+    kf_keys = [key for key in ("bias.kf_l", "bias.kf_r") if key in kv]
+    mu_keys = [key for key in ("bias.mu_l", "bias.mu_r") if key in kv]
+    if kf_keys and mu_keys:
+        raise ConfigError(
+            f"{', '.join(kf_keys + mu_keys)}: the bias is set two ways; give "
+            "either bias.kf_l and bias.kf_r or bias.mu_l and bias.mu_r")
+    if kf_keys:
         kf_l, kf_r = value("bias.kf_l", float), value("bias.kf_r", float)
-        bias = checked(("bias.kf_l", "bias.kf_r", "model.eta"),
-                       lambda: BiasConfig.from_fermi_momenta(kf_l, kf_r, eta))
+        bias = checked(("bias.kf_l", "bias.kf_r"), lambda: BiasConfig(kf_l, kf_r))
     else:
         mu_l, mu_r = value("bias.mu_l", float), value("bias.mu_r", float)
         bias = checked(("bias.mu_l", "bias.mu_r", "model.eta"),
-                       lambda: BiasConfig(eta=eta, mu_l=mu_l, mu_r=mu_r))
+                       lambda: BiasConfig(fermi_momentum(eta, mu_l),
+                                          fermi_momentum(eta, mu_r)))
 
     sizes = {name: value(f"geometry.{name}", int, default)
              for name, default in (("m0", "0"), ("d_l", "0"), ("ell_l", "1"),

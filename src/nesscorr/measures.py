@@ -249,8 +249,7 @@ def renyi_negativity_det(c_a: CorrelationMatrix, size_left: int, n) -> MeasureRe
             total += lu_logdet(factor)
         except SingularMatrixError as exc:
             raise SingularMatrixError(
-                f"singular factor I - C_gamma at gamma={gamma}",
-                pivot_index=exc.pivot_index) from exc
+                f"singular factor I - C_gamma at gamma={gamma}") from exc
     residual = abs(total.imag)
     if residual > IMAG_BUDGET:
         raise BranchError(

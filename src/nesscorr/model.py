@@ -9,9 +9,10 @@ unitary scattering matrix
     S(k) = [[r_l, t_r],
             [t_l, r_r]],      0 < k < pi.
 
-Two reservoirs fill left-moving and right-moving states up to chemical
-potentials ``mu_l`` and ``mu_r``; the corresponding Fermi momenta are
-``k_F = arccos(-mu / 2 eta)``.
+Two reservoirs fill left-moving and right-moving states up to the Fermi
+momenta ``kf_l`` and ``kf_r``, which is all that :class:`BiasConfig`
+holds; a chemical potential ``mu`` converts to one through
+:func:`fermi_momentum`, ``k_F = arccos(-mu / 2 eta)``.
 
 Two subsystems are considered: an interval of ``ell_l`` sites at distance
 ``d_l`` to the left of the impurity, and one of ``ell_r`` sites at
@@ -177,33 +178,15 @@ def fermi_momentum(eta: float, mu: float) -> float:
 
 @dataclass(frozen=True)
 class BiasConfig:
-    """Hopping amplitude and the two reservoir chemical potentials."""
+    """The two reservoirs' Fermi momenta, each in [0, pi]."""
 
-    eta: float
-    mu_l: float
-    mu_r: float
+    kf_l: float
+    kf_r: float
 
     def __post_init__(self):
-        # raises BandEdgeError for out-of-band potentials
-        fermi_momentum(self.eta, self.mu_l)
-        fermi_momentum(self.eta, self.mu_r)
-
-    @classmethod
-    def from_fermi_momenta(cls, kf_l: float, kf_r: float,
-                           eta: float = 1.0) -> "BiasConfig":
-        for kf in (kf_l, kf_r):
-            if not 0.0 <= kf <= np.pi:
+        for kf in (self.kf_l, self.kf_r):
+            if not 0.0 <= kf <= np.pi:  # NaN fails too
                 raise DomainError(f"Fermi momentum {kf} outside [0, pi]")
-        return cls(eta=eta, mu_l=-2.0 * eta * np.cos(kf_l),
-                   mu_r=-2.0 * eta * np.cos(kf_r))
-
-    @property
-    def kf_l(self) -> float:
-        return fermi_momentum(self.eta, self.mu_l)
-
-    @property
-    def kf_r(self) -> float:
-        return fermi_momentum(self.eta, self.mu_r)
 
     @property
     def k_plus(self) -> float:

@@ -33,7 +33,7 @@ from nesscorr.measures import (
 )
 from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
 
-BIAS = BiasConfig.from_fermi_momenta(np.pi / 2 + 0.2, np.pi / 2)
+BIAS = BiasConfig(np.pi / 2 + 0.2, np.pi / 2)
 
 
 def _verdict(index, ok, detail, started):
@@ -117,7 +117,7 @@ def test_criterion_3_vanishing_theorems():
     cases = [
         (ConstantS.beamsplitter(0.0), BIAS),
         (ConstantS.beamsplitter(1.0), BIAS),
-        (ConstantS.beamsplitter(0.4), BiasConfig.from_fermi_momenta(1.4, 1.4)),
+        (ConstantS.beamsplitter(0.4), BiasConfig(1.4, 1.4)),
     ]
     for model, bias in cases:
         # modest lengths keep the occupation spectrum away from the

@@ -24,8 +24,8 @@ from nesscorr.measures import renyi_entropy
 from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
 from oracles import q_n_mp, q_n_singular_form, q_tilde_n_mp, q_tilde_n_singular_form
 
-BIAS = BiasConfig.from_fermi_momenta(np.pi / 2 + 0.2, np.pi / 2)
-NO_BIAS = BiasConfig.from_fermi_momenta(1.3, 1.3)
+BIAS = BiasConfig(np.pi / 2 + 0.2, np.pi / 2)
+NO_BIAS = BiasConfig(1.3, 1.3)
 
 
 class TestSpecialFunctions:

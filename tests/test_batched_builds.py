@@ -26,9 +26,9 @@ from nesscorr.quadrature import InitialPanels
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 BIASES = {
-    "kf_l>kf_r": BiasConfig.from_fermi_momenta(np.pi / 2 + 0.2, np.pi / 2),
-    "kf_l<kf_r": BiasConfig.from_fermi_momenta(np.pi / 2, np.pi / 2 + 0.2),
-    "kf_l=kf_r": BiasConfig.from_fermi_momenta(1.3, 1.3),
+    "kf_l>kf_r": BiasConfig(np.pi / 2 + 0.2, np.pi / 2),
+    "kf_l<kf_r": BiasConfig(np.pi / 2, np.pi / 2 + 0.2),
+    "kf_l=kf_r": BiasConfig(1.3, 1.3),
 }
 MODELS = {
     "eps0=1": SingleSite(eps0=1.0),
@@ -222,7 +222,7 @@ from nesscorr.correlation import build_corr_matrix
 from nesscorr.model import BiasConfig, Geometry, SingleSite
 from nesscorr.quadrature import _gl_rule
 _gl_rule(16), _gl_rule(32)
-bias = BiasConfig.from_fermi_momenta(1.7707963267948966, 1.5707963267948966)
+bias = BiasConfig(1.7707963267948966, 1.5707963267948966)
 cache = {cache}
 tracemalloc.start()
 for ell in {lengths}:

@@ -8,7 +8,7 @@ from nesscorr.correlation import _fermi_kernel, build_corr_matrix, corr_entry_fu
 from nesscorr.densela import herm_eigvals
 from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
 
-BIAS = BiasConfig.from_fermi_momenta(np.pi / 2 + 0.2, np.pi / 2)
+BIAS = BiasConfig(np.pi / 2 + 0.2, np.pi / 2)
 
 
 def longrange_entry(model, bias, j, m):
@@ -105,7 +105,7 @@ class TestLongRangeEntries:
         assert got == pytest.approx(want, abs=1e-8)
 
     def test_reversed_bias_same_side(self):
-        flipped = BiasConfig.from_fermi_momenta(np.pi / 2, np.pi / 2 + 0.2)
+        flipped = BiasConfig(np.pi / 2, np.pi / 2 + 0.2)
         model = SingleSite(eps0=0.8)
         got = longrange_entry(model, flipped, 6, 3)
         want = trapezoid_longrange(model, flipped, 6, 3)
@@ -115,7 +115,7 @@ class TestLongRangeEntries:
 class TestFullEntries:
     def test_homogeneous_unbiased_reduces_to_sine_kernel(self):
         model = ConstantS.beamsplitter(1.0)
-        bias = BiasConfig.from_fermi_momenta(1.1, 1.1)
+        bias = BiasConfig(1.1, 1.1)
         for j, m in ((4, 9), (-3, 7)):
             want = np.sin(1.1 * (j - m)) / (np.pi * (j - m))
             assert corr_entry_full(model, bias, j, m) == pytest.approx(
@@ -180,7 +180,7 @@ class TestBuildMatrix:
         assert np.max(np.abs(c.mat[:4, 4:])) <= 1e-14
 
     def test_no_bias_cross_block_vanishes(self):
-        bias = BiasConfig.from_fermi_momenta(1.3, 1.3)
+        bias = BiasConfig(1.3, 1.3)
         g = Geometry(m0=0, d_l=2, ell_l=4, d_r=2, ell_r=4)
         c = build_corr_matrix(ConstantS.beamsplitter(0.37), bias, g, "A")
         assert np.max(np.abs(c.mat[:4, 4:])) <= 1e-12

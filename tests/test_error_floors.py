@@ -1,14 +1,19 @@
-"""Error floors of the Hermitian-spectrum measures against 30-digit spectra.
+"""Error floors of the measures against 30-digit evaluations of the same C_A.
 
 MI, MI_2 and S_2(A) take their values from ``eigvalsh`` spectra of C_A,
 C_L and C_R.  Each case here recomputes them from ``mpmath.eighe``
 spectra of the same float matrices at 30 digits, so the difference is
 the rounding of the float eigensolver and of the sums alone, not the
-error of the build.  The cases are long-range builds at the acceptance
-bias (pi/2 + 0.2, pi/2) with ell_l = ell_r = ell and d_l = d_r = 0.
+error of the build.  The Renyi negativities E_2 and E_4, by the C_Xi
+route and by the determinant route, are compared in the same way with
+sum_gamma ln|det(I - C_gamma)| from ``mpmath.det`` at 30 digits.  The
+cases are long-range builds at the acceptance bias (pi/2 + 0.2, pi/2)
+with ell_l = ell_r = ell and d_l = d_r = 0.
 
-The bounds are about 14 times the largest differences measured (7.0e-14
-for MI, 8.2e-15 for MI_2 and 6.7e-15 for S_2) and below the 1e-10 row
+The Hermitian bounds are about 14 times the largest differences
+measured (7.0e-14 for MI, 8.2e-15 for MI_2 and 6.7e-15 for S_2); the
+negativity bound is 12 times the largest of the C_Xi route (8.0e-15;
+2.7e-15 for the determinant route).  All sit below the 1e-10 row
 tolerance of the benchmark's reference check.  The README lists them
 with E's floor, which is still open.
 """
@@ -18,12 +23,14 @@ import numpy as np
 import pytest
 
 from nesscorr.correlation import build_corr_matrix
-from nesscorr.measures import mutual_information, renyi_entropy
+from nesscorr.measures import (mutual_information, renyi_entropy, renyi_negativity_det,
+                               renyi_negativity_eig)
 from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
 
-BIAS = BiasConfig.from_fermi_momenta(np.pi / 2 + 0.2, np.pi / 2)
+BIAS = BiasConfig(np.pi / 2 + 0.2, np.pi / 2)
 DPS = 30
 BOUNDS = {"MI": 1e-12, "MI_2": 1e-13, "S_2": 1e-13}
+NEGATIVITY_BOUND = 1e-13
 MODELS = {"single_site": SingleSite(1.0), "beamsplitter": ConstantS.beamsplitter(0.4)}
 
 
@@ -61,3 +68,31 @@ def test_hermitian_measures_sit_on_their_floor(name, ell):
            "S_2": renyi_entropy(c_a, 2).value}
     for key, bound in BOUNDS.items():
         assert abs(got[key] - want[key]) <= bound, (key, got[key], want[key])
+
+
+def _negativity_mp(mat: np.ndarray, size_left: int, n: int) -> mpmath.mpf:
+    """sum_gamma ln|det(I - C_gamma)| of the float ``mat`` at DPS digits."""
+    dim = len(mat)
+    total = mpmath.mpf(0)
+    for j in range(n):
+        phase = mpmath.expjpi(mpmath.mpf(2 * j - n + 1) / n)  # e^{2 pi i gamma / n}
+        scale = [1 - phase] * size_left + [1 + 1 / phase] * (dim - size_left)
+        factor = mpmath.matrix(dim, dim)
+        for p in range(dim):
+            for q in range(dim):
+                factor[p, q] = (p == q) - scale[p] * mpmath.mpc(complex(mat[p, q]))
+        total += mpmath.log(abs(mpmath.det(factor)))
+    return total
+
+
+@pytest.mark.parametrize("ell", [8, 16])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_renyi_negativities_sit_on_their_floor(name, ell):
+    c_a = build_corr_matrix(MODELS[name], BIAS, Geometry(0, 0, ell, 0, ell), "A",
+                            "longrange")
+    for n in (2, 4):
+        with mpmath.workdps(DPS):
+            want = float(_negativity_mp(c_a.mat, c_a.n_left, n))
+        for route in (renyi_negativity_eig, renyi_negativity_det):
+            got = route(c_a, c_a.n_left, n).value
+            assert abs(got - want) <= NEGATIVITY_BOUND, (route.__name__, n, got, want)

@@ -29,7 +29,7 @@ from oracles import (
     negativity_log_coeff_gamma_sum,
 )
 
-BIAS = BiasConfig.from_fermi_momenta(np.pi / 2 + 0.2, np.pi / 2)
+BIAS = BiasConfig(np.pi / 2 + 0.2, np.pi / 2)
 
 
 class TestPiecewiseSymbol:
@@ -446,7 +446,7 @@ class TestBlockMachinery:
         assert mi_eig == pytest.approx(mi_det, abs=1e-10)
 
     def test_reindexing_equivalence_with_reversed_bias(self):
-        flipped = BiasConfig.from_fermi_momenta(np.pi / 2, np.pi / 2 + 0.2)
+        flipped = BiasConfig(np.pi / 2, np.pi / 2 + 0.2)
         model = ConstantS.beamsplitter(0.4)
         ell = 6
         g = Geometry(m0=0, d_l=3, ell_l=ell, d_r=3, ell_r=ell)

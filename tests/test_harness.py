@@ -13,7 +13,7 @@ import pytest
 import nesscorr.harness as harness_module
 from nesscorr import asymptotics, measures
 from nesscorr.cli import main
-from nesscorr.errors import BranchError, ConfigError, SpectrumError
+from nesscorr.errors import BranchError, ConfigError, DomainError, SpectrumError
 from nesscorr.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -27,9 +27,9 @@ from nesscorr.harness import (
     run_scan,
     scan_summary,
 )
-from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
+from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite, fermi_momentum
 
-BIAS = BiasConfig.from_fermi_momenta(np.pi / 2 + 0.2, np.pi / 2)
+BIAS = BiasConfig(np.pi / 2 + 0.2, np.pi / 2)
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALL_MEASURES = ("S_n", "MI_n", "MI", "E_n", "E")
 
@@ -121,7 +121,7 @@ class TestFitConstant:
         assert rms == pytest.approx(noise, rel=1e-9)
 
     def test_empty_window_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             fit_constant({}, {}, [])
 
 
@@ -240,7 +240,7 @@ class TestRunScan:
         # S-matrix has spectrum [3.637e-02, 1.010e+00]; the long-range C_A of
         # the same model and the full-mode C_A of a lattice impurity are
         # correlation matrices
-        base = dict(bias=BiasConfig.from_fermi_momenta(3.0, np.pi / 2),
+        base = dict(bias=BiasConfig(3.0, np.pi / 2),
                     geometry=Geometry(0, 1, 4, 1, 4), scan_values=(4,),
                     measures=("MI",))
         (row,) = run_scan(small_config(mode="full", **base))
@@ -520,17 +520,49 @@ class TestConfigParsing:
         assert cfg.bias.kf_r == pytest.approx(np.pi / 2)
         # model.eta is the one hopping, for constant_s too
         cfg = parse_config(text + "model.eta = 2\n")
-        assert cfg.bias.kf_l == pytest.approx(np.arccos(-0.05))
+        assert cfg.bias.kf_l == fermi_momentum(2.0, 0.2)
+
+    def test_bias_set_two_ways_rejected(self):
+        both = CONFIG_TEXT + "bias.mu_l = 0.5\nbias.mu_r = -1.9\n"
+        with pytest.raises(ConfigError, match="^bias.kf_l, bias.kf_r, bias.mu_l, "
+                           "bias.mu_r: the bias is set two ways"):
+            parse_config(both)
+        mixed = CONFIG_TEXT.replace("bias.kf_r = 1.5707963267948966", "bias.mu_r = -1.9")
+        with pytest.raises(ConfigError, match="^bias.kf_l, bias.mu_r: the bias is set two ways"):
+            parse_config(mixed)
+
+    def test_band_edge_fermi_momentum_kept_exactly(self):
+        with open(os.path.join(ROOT, "configs", "beamsplitter_point.cfg")) as fh:
+            text = fh.read().replace("bias.kf_l = 1.7707963267948966", "bias.kf_l = 1e-06")
+        cfg = parse_config(text.replace("bias.kf_r = 1.5707963267948966", "bias.kf_r = 0.0"))
+        assert (cfg.bias.kf_l, cfg.bias.kf_r) == (1e-06, 0.0)
+
+    @pytest.mark.parametrize("kind", ["single_site", "constant_s"])
+    @pytest.mark.parametrize("form", ["kf", "mu"])
+    @pytest.mark.parametrize("eta", ["0", "-1", "nan"])
+    def test_nonpositive_hopping_names_model_eta(self, kind, form, eta):
+        text = CONFIG_TEXT + f"model.eta = {eta}\n"
+        if kind == "single_site":
+            text = text.replace("model.transmission = 0.5", "model.eps0 = 1.0").replace(
+                "constant_s", "single_site")
+        if form == "mu":
+            text = text.replace("bias.kf_l = 1.7707963267948966", "bias.mu_l = 0.2").replace(
+                "bias.kf_r = 1.5707963267948966", "bias.mu_r = 0.0")
+        with pytest.raises(ConfigError, match=f"model.eta = {eta}"):
+            parse_config(text)
 
 
-    @pytest.mark.parametrize("line", ["model.eps0 = one", "geometry.d_l = 2.5",
-                                      "geometry.d_r = -3", "bias.kf_l = 4.0"])
-    def test_invalid_value_is_a_config_error_naming_its_key(self, line, tmp_path,
+    @pytest.mark.parametrize("kind,line", [
+        ("single_site", "model.eps0 = one"), ("single_site", "geometry.d_l = 2.5"),
+        ("single_site", "geometry.d_r = -3"), ("single_site", "bias.kf_l = 4.0"),
+        ("constant_s", "model.eta = -1")])
+    def test_invalid_value_is_a_config_error_naming_its_key(self, kind, line, tmp_path,
                                                              capsys):
         key = line.split(" =")[0]
-        kept = CONFIG_TEXT.replace(
+        kept = CONFIG_TEXT if kind == "constant_s" else CONFIG_TEXT.replace(
             "model.kind = constant_s\nmodel.transmission = 0.5",
-            "model.kind = single_site\nmodel.eps0 = 1.0").splitlines()
+            "model.kind = single_site\nmodel.eps0 = 1.0")
+        kept = kept.splitlines()
         text = "\n".join(k for k in kept if not k.startswith(key + " ")) + f"\n{line}\n"
         with pytest.raises(ConfigError, match=re.escape(line)):
             parse_config(text)

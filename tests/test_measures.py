@@ -24,7 +24,7 @@ from nesscorr.measures import (
 from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
 from oracles import c_xi_expression, occupation_log_sum_mp, xi_negativity_complex
 
-BIAS = BiasConfig.from_fermi_momenta(np.pi / 2 + 0.2, np.pi / 2)
+BIAS = BiasConfig(np.pi / 2 + 0.2, np.pi / 2)
 LENGTH_SCAN_CFG = (Path(__file__).resolve().parent.parent / "configs"
                    / "symmetric_length_scan.cfg")
 
@@ -288,7 +288,7 @@ class TestNegativities:
             renyi_negativity_det(c_a, c_a.n_left, 3)
 
     def test_no_bias_relations(self):
-        bias = BiasConfig.from_fermi_momenta(1.4, 1.4)
+        bias = BiasConfig(1.4, 1.4)
         c_a = built_union(ConstantS.beamsplitter(0.3), bias=bias)
         n_left = c_a.n_left
         assert fermionic_negativity(c_a, n_left).value == pytest.approx(

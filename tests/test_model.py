@@ -1,5 +1,7 @@
 """Scattering models, bias configuration and geometry arithmetic."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,11 +81,23 @@ class TestFermiMomentum:
             fermi_momentum(1.0, 2.5)
 
     def test_bias_derived_quantities(self):
-        b = BiasConfig.from_fermi_momenta(1.7, 1.5)
+        b = BiasConfig(1.7, 1.5)
         assert b.k_plus == pytest.approx(1.7)
         assert b.k_minus == pytest.approx(1.5)
         assert b.delta_k == pytest.approx(0.2)
         assert b.kf_l == pytest.approx(1.7)
+
+    def test_bias_holds_exactly_its_two_fermi_momenta(self):
+        assert tuple(f.name for f in dataclasses.fields(BiasConfig)) == ("kf_l", "kf_r")
+        # a detour through mu = -2 cos k_F would give 0.0: no bias at all
+        assert BiasConfig(1e-8, 0.0).delta_k == 1e-8
+
+    @pytest.mark.parametrize("kf", [-0.1, 4.0, np.nan])
+    def test_bias_rejects_fermi_momentum_outside_zero_pi(self, kf):
+        with pytest.raises(DomainError):
+            BiasConfig(kf, 1.0)
+        with pytest.raises(DomainError):
+            BiasConfig(1.0, kf)
 
 
 class TestGeometry:

@@ -211,7 +211,7 @@ def _captured(monkeypatch, module, call):
     return seen
 
 
-BIAS = BiasConfig.from_fermi_momenta(np.pi / 2 + 0.2, np.pi / 2)
+BIAS = BiasConfig(np.pi / 2 + 0.2, np.pi / 2)
 MODEL = SingleSite(eps0=1.0)
 
 

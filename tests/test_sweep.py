@@ -34,13 +34,13 @@ def _bias(kind: str, rng) -> BiasConfig:
         return u if low else np.pi - u
 
     if kind == "low edge":
-        return BiasConfig.from_fermi_momenta(edge(True), np.pi / 2)
+        return BiasConfig(edge(True), np.pi / 2)
     if kind == "high edge":
-        return BiasConfig.from_fermi_momenta(np.pi / 2, edge(False))
+        return BiasConfig(np.pi / 2, edge(False))
     if kind == "across":
-        return BiasConfig.from_fermi_momenta(edge(False), edge(True))
+        return BiasConfig(edge(False), edge(True))
     kf = edge(bool(rng.integers(2)))
-    return BiasConfig.from_fermi_momenta(kf, kf)
+    return BiasConfig(kf, kf)
 
 
 CASES = [(i, mode) for i in range(len(MODELS)) for mode in ("longrange", "full")]
