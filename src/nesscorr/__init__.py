@@ -39,11 +39,9 @@ from .model import (
     ConstantS,
     Geometry,
     ImpurityModel,
-    ScatteringData,
     SingleSite,
     fermi_momentum,
     mirror_overlap,
-    scattering_at,
 )
 
 __version__ = "0.1.0"
@@ -56,7 +54,6 @@ __all__ = [
     "Geometry",
     "ImpurityModel",
     "MeasureResult",
-    "ScatteringData",
     "SingleSite",
     "build_c_xi",
     "build_corr_matrix",
@@ -77,7 +74,6 @@ __all__ = [
     "renyi_mi_asym",
     "renyi_negativity_det",
     "renyi_negativity_eig",
-    "scattering_at",
     "single_interval_entropy_asym",
     "vn_entropy",
     "vn_mi_asym",

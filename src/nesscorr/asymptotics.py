@@ -28,8 +28,8 @@ singularities, which the test suite evaluates as an independent oracle.
 Structure of a prediction
 -------------------------
 An :class:`AsymptoticPrediction` is a volume term (coefficient times a
-stored length), a list of (coefficient, argument) logarithmic terms, and
-an optional additive constant fitted downstream.  Logarithm arguments are
+stored length) and a list of (coefficient, argument) logarithmic terms;
+the additive constant is fitted downstream.  Logarithm arguments are
 ratios of differences of the four interval edges {d_l, d_l + ell_l, d_r,
 d_r + ell_r}; a difference that is exactly zero is omitted from its
 ratio.  All formulas assume a finite bias; the zero-bias limit does not
@@ -51,12 +51,9 @@ from .quadrature import adaptive_gauss_legendre
 Q_TOL = 1e-10
 
 
-def _xlx(y):
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    mask = y > 0
-    out[mask] = y[mask] * np.log(y[mask])
-    return out
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x ln x elementwise for x >= 0, with the limit 0 at x = 0."""
+    return x * np.log(x, out=np.zeros_like(x), where=x > 0)
 
 
 def _unit_integral(f, n: float) -> float:
@@ -130,14 +127,14 @@ def q_tilde_n(t: float, r: float, n: float) -> float:
 def q_fun(t: float, r: float) -> float:
     """q(T) with R = 1 - T: von Neumann MI log coefficient; q < 0 on (0, 1), q(0)=q(1)=0."""
     _check_probabilities(t, r)
-    edge = float(_xlx(np.array([t]))[0] + _xlx(np.array([r]))[0])
+    edge = float(_xlogx(np.array([t]))[0] + _xlogx(np.array([r]))[0])
 
     def f1(x):
         num = (1.0 + r * x) * np.log1p(r * x) + (1.0 + t * x) * np.log1p(t * x)
         return num / ((1.0 + x) * x) / (2.0 * np.pi ** 2)
 
     def f2(x):
-        num = edge - (_xlx(r + x) + _xlx(t + x)) / (1.0 + x)
+        num = edge - (_xlogx(r + x) + _xlogx(t + x)) / (1.0 + x)
         return num / x / (2.0 * np.pi ** 2)
 
     i1 = adaptive_gauss_legendre(f1, 0.0, 1.0, tol=Q_TOL)
@@ -149,10 +146,10 @@ def q_fun(t: float, r: float) -> float:
 def q_tilde_fun(t: float, r: float) -> float:
     """qt(T) with R = 1 - T: the companion coefficient; qt > 0 on (0, 1), qt(0)=qt(1)=0."""
     _check_probabilities(t, r)
-    edge = float(_xlx(np.array([t]))[0] + _xlx(np.array([r]))[0])
+    edge = float(_xlogx(np.array([t]))[0] + _xlogx(np.array([r]))[0])
 
     def f(x):
-        num = (_xlx(r + t * x) + _xlx(t + r * x)) / (1.0 + x) - edge
+        num = (_xlogx(r + t * x) + _xlogx(t + r * x)) / (1.0 + x) - edge
         return num / x / np.pi ** 2
 
     return q_fun(t, r) + 1.0 / 12.0 + adaptive_gauss_legendre(f, 0.0, 1.0, tol=Q_TOL)
@@ -185,22 +182,17 @@ def volume_coeff(model: ImpurityModel, bias: BiasConfig, kind: str,
     T + R = 1), which is exactly 0 wherever T or R is.
     """
     pi = np.pi
-    if kind == "entropy_n":
+    if kind in ("entropy_n", "mi_n"):
         if n is None or n <= 0 or n == 1:
-            raise DomainError("entropy_n requires n > 0, n != 1")
+            raise DomainError(f"{kind} requires n > 0, n != 1")
+        scale = 2 * pi if kind == "entropy_n" else pi
         return _window_average(
             model, bias,
-            lambda t, r: np.log(t ** n + r ** n)) / (2 * pi * (1 - n))
-    if kind == "mi_n":
-        if n is None or n <= 0 or n == 1:
-            raise DomainError("mi_n requires n > 0, n != 1")
-        return _window_average(
-            model, bias,
-            lambda t, r: np.log(t ** n + r ** n)) / (pi * (1 - n))
+            lambda t, r: np.log(t ** n + r ** n)) / (scale * (1 - n))
     if kind == "mi_vn":
         return _window_average(
             model, bias,
-            lambda t, r: -_xlx(t) - _xlx(r)) / pi
+            lambda t, r: -_xlogx(t) - _xlogx(r)) / pi
     if kind == "neg_n":
         if n is None or n < 2 or n % 2:
             raise DomainError("neg_n requires an even integer n >= 2")
@@ -220,12 +212,11 @@ def volume_coeff(model: ImpurityModel, bias: BiasConfig, kind: str,
 
 @dataclass(frozen=True)
 class AsymptoticPrediction:
-    """Volume term + logarithmic terms + optional fitted constant."""
+    """Volume term + logarithmic terms; the constant is fitted downstream."""
 
     linear_coeff: float
     linear_length: float
     log_terms: tuple[tuple[float, float], ...]
-    constant: float | None = None
 
     def __post_init__(self):
         for coeff, arg in self.log_terms:
@@ -241,7 +232,7 @@ class AsymptoticPrediction:
         return float(sum(c * math.log(a) for c, a in self.log_terms))
 
     def total(self) -> float:
-        return self.linear_part + self.log_part + (self.constant or 0.0)
+        return self.linear_part + self.log_part
 
 
 def edge_differences(g: Geometry) -> tuple[int, int, int, int]:

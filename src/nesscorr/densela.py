@@ -76,8 +76,7 @@ def herm_eigvals(m) -> np.ndarray:
         dev = np.max(np.abs(m - m.conj().T))
         if dev > HERMITICITY_TOL:
             raise SymmetryError(
-                f"matrix is not Hermitian: max |m - m^dagger| = {dev:.3e}",
-                max_deviation=float(dev))
+                f"matrix is not Hermitian: max |m - m^dagger| = {dev:.3e}")
     return np.linalg.eigvalsh(m)
 
 

@@ -12,10 +12,6 @@ class DimensionError(NesscorrError, ValueError):
 class SymmetryError(NesscorrError, ValueError):
     """A matrix violates a required symmetry (e.g. Hermiticity)."""
 
-    def __init__(self, message, max_deviation=None):
-        super().__init__(message)
-        self.max_deviation = max_deviation
-
 
 class ConvergenceError(NesscorrError, RuntimeError):
     """An iterative kernel failed to converge within its budget."""

@@ -85,12 +85,6 @@ class PiecewiseSymbol:
         if np.any(np.abs(vals - neighbors) == 0.0):
             raise DomainError("null jump: adjacent arc values must differ")
 
-    def value_at(self, theta: float) -> complex:
-        if not self.jumps:
-            return self.values[0]
-        idx = int(np.searchsorted(np.asarray(self.jumps), theta, side="right")) - 1
-        return self.values[idx]  # idx == -1 wraps to the last arc
-
     def jump_ratios(self) -> np.ndarray:
         """phi(th_r^-) / phi(th_r^+) at each jump."""
         vals = np.asarray(self.values, dtype=complex)

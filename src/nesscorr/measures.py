@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import _xlogx
 from .correlation import CorrelationMatrix
 from .densela import gen_eigvals, herm_eigvals, lu_logdet
 from .errors import BranchError, DimensionError, DomainError, SingularMatrixError, SpectrumError
@@ -86,11 +87,6 @@ def renyi_entropy(c: CorrelationMatrix, n: float) -> MeasureResult:
     lam, clamped = _occupation_spectrum(c)
     value = float(np.sum(np.log(lam ** n + (1.0 - lam) ** n))) / (1.0 - n)
     return MeasureResult(value=value, clamped_count=clamped)
-
-
-def _xlogx(x: np.ndarray) -> np.ndarray:
-    """x ln x elementwise for x >= 0, with the limit 0 at x = 0."""
-    return x * np.log(x, out=np.zeros_like(x), where=x > 0)
 
 
 def vn_entropy(c: CorrelationMatrix) -> MeasureResult:

@@ -9,6 +9,11 @@ unitary scattering matrix
     S(k) = [[r_l, t_r],
             [t_l, r_r]],      0 < k < pi.
 
+An :class:`ImpurityModel` gives the four amplitudes on an array of
+momenta (:meth:`~ImpurityModel.amplitudes`), which the finite-distance
+kernels read, and the probabilities T(k) = |t_l|^2 and R(k) = |r_l|^2,
+which are all that the closed forms read.
+
 Two reservoirs fill left-moving and right-moving states up to the Fermi
 momenta ``kf_l`` and ``kf_r``, which is all that :class:`BiasConfig`
 holds; a chemical potential ``mu`` converts to one through
@@ -34,42 +39,6 @@ from .errors import BandEdgeError, DomainError
 
 UNITARITY_TOL = 1e-10
 PROBABILITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ScatteringData:
-    """Scattering amplitudes of the impurity at one momentum."""
-
-    k: float
-    r_l: complex
-    t_l: complex
-    r_r: complex
-    t_r: complex
-
-    def __post_init__(self):
-        if not 0.0 < self.k < np.pi:
-            raise DomainError(f"momentum k={self.k} outside (0, pi)")
-        s = self.matrix()
-        residual = np.max(np.abs(s.conj().T @ s - np.eye(2)))
-        if residual > UNITARITY_TOL:
-            raise DomainError(
-                f"scattering matrix not unitary: residual {residual:.3e}")
-        if abs(abs(self.t_l) ** 2 - abs(self.t_r) ** 2) > PROBABILITY_TOL:
-            raise DomainError("left/right transmission probabilities differ")
-        if abs(self.transmission + self.reflection - 1.0) > PROBABILITY_TOL:
-            raise DomainError("T + R deviates from 1 beyond tolerance")
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.r_l, self.t_r], [self.t_l, self.r_r]],
-                        dtype=complex)
-
-    @property
-    def transmission(self) -> float:
-        return abs(self.t_l) ** 2
-
-    @property
-    def reflection(self) -> float:
-        return abs(self.r_l) ** 2
 
 
 class ImpurityModel:
@@ -99,8 +68,16 @@ class ConstantS(ImpurityModel):
     t_r: complex
 
     def __post_init__(self):
-        # delegate the unitarity checks to ScatteringData at a probe momentum
-        ScatteringData(np.pi / 2, self.r_l, self.t_l, self.r_r, self.t_r)
+        s = np.array([[self.r_l, self.t_r], [self.t_l, self.r_r]], dtype=complex)
+        residual = np.max(np.abs(s.conj().T @ s - np.eye(2)))
+        if residual > UNITARITY_TOL:
+            raise DomainError(
+                f"scattering matrix not unitary: residual {residual:.3e}")
+        transmission = abs(self.t_l) ** 2
+        if abs(transmission - abs(self.t_r) ** 2) > PROBABILITY_TOL:
+            raise DomainError("left/right transmission probabilities differ")
+        if abs(transmission + abs(self.r_l) ** 2 - 1.0) > PROBABILITY_TOL:
+            raise DomainError("T + R deviates from 1 beyond tolerance")
 
     @classmethod
     def beamsplitter(cls, transmission: float) -> "ConstantS":
@@ -155,14 +132,6 @@ class SingleSite(ImpurityModel):
         s = np.sin(np.asarray(k, dtype=float))
         a = self.eps0 / (2.0 * self.eta)
         return a * a / (s * s + a * a)
-
-
-def scattering_at(model: ImpurityModel, k: float) -> ScatteringData:
-    """Scattering data of ``model`` at momentum ``k`` in (0, pi)."""
-    if not 0.0 < k < np.pi:
-        raise DomainError(f"momentum k={k} outside (0, pi)")
-    r_l, t_l, r_r, t_r = (np.asarray(x).item() for x in model.amplitudes(k))
-    return ScatteringData(k=k, r_l=r_l, t_l=t_l, r_r=r_r, t_r=t_r)
 
 
 def fermi_momentum(eta: float, mu: float) -> float:

@@ -8,7 +8,7 @@ error test are bisected.
 
 The panel tree is processed one bisection level at a time.  Each level
 makes a single call to the integrand with one flat array: every pending
-panel's ``order`` coarse nodes followed by its ``2*order`` fine nodes.  The
+panel's ``ORDER`` coarse nodes followed by its ``2*ORDER`` fine nodes.  The
 integrand must therefore be elementwise in ``k`` (the value at a node may
 not depend on the other nodes in the array); a scalar return is broadcast
 to every node.  The accepted panels' fine sums are added to the total one
@@ -30,6 +30,7 @@ from numpy.polynomial import legendre
 
 from .errors import ConvergenceError
 
+ORDER = 16  # Gauss-Legendre order of the base rule; the error estimate doubles it
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -52,27 +53,27 @@ class InitialPanels:
     """The first level of the panel tree on the oriented interval [a, b].
 
     ``n0`` equal panels (:meth:`count` gives the rule's choice); ``nodes``
-    holds each panel's ``order`` coarse then ``2*order`` fine nodes.
+    holds each panel's ``ORDER`` coarse then ``2*ORDER`` fine nodes.
     Integrands that share the interval and ``n0`` share these nodes, so a
     caller may evaluate several integrands here once and pass each one's
     values to :meth:`integrate`.
     """
 
     def __init__(self, a: float, b: float, n0: int, tol: float = 1e-10,
-                 order: int = 16, max_panels: int = 40000):
+                 max_panels: int = 40000):
         if n0 > max_panels:
             raise ConvergenceError(
                 f"quadrature on [{a}, {b}] needs {n0} initial panels, "
                 f"over the budget of {max_panels}")
         self.a, self.b, self.n0 = a, b, n0
-        self.tol, self.order, self.max_panels = tol, order, max_panels
+        self.tol, self.max_panels = tol, max_panels
         self.sign = 1.0
         lo, hi = a, b
         if hi < lo:
             lo, hi = hi, lo
             self.sign = -1.0
         self.width = hi - lo
-        self.x = np.concatenate([_gl_rule(order)[0], _gl_rule(2 * order)[0]])
+        self.x = np.concatenate([_gl_rule(ORDER)[0], _gl_rule(2 * ORDER)[0]])
         edges = np.linspace(lo, hi, n0 + 1)
         self.plo, self.phi = edges[:-1], edges[1:]
         self.mid, self.half, self.nodes = _level(self.plo, self.phi, self.x)
@@ -89,15 +90,15 @@ class InitialPanels:
         Panels failing the error test are bisected level by level, calling
         ``f`` once per level with the nodes of the pending panels.
         """
-        order, width, tol = self.order, self.width, self.tol
-        w_c, w_f = _gl_rule(order)[1], _gl_rule(2 * order)[1]
+        width, tol = self.width, self.tol
+        w_c, w_f = _gl_rule(ORDER)[1], _gl_rule(2 * ORDER)[1]
         plo, phi, mid, half, nodes = self.plo, self.phi, self.mid, self.half, self.nodes
         done_lo, done_fine = [], []
         spent = self.n0
         while True:
             vals = np.broadcast_to(values, nodes.shape).reshape(plo.size, -1)
-            coarse = half * np.sum(w_c * vals[:, :order], axis=1)
-            fine = half * np.sum(w_f * vals[:, order:], axis=1)
+            coarse = half * np.sum(w_c * vals[:, :ORDER], axis=1)
+            fine = half * np.sum(w_f * vals[:, ORDER:], axis=1)
             err = np.abs(fine - coarse)
             ok = (err <= tol * (phi - plo) / width) | ((phi - plo) < width * 2.0 ** -52)
             done_lo.append(plo[ok])
@@ -122,8 +123,7 @@ class InitialPanels:
 
 
 def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-10,
-                            frequency: float = 0.0, order: int = 16,
-                            max_panels: int = 40000):
+                            frequency: float = 0.0, max_panels: int = 40000):
     """Integrate ``f`` over the oriented interval [a, b].
 
     Parameters
@@ -139,9 +139,6 @@ def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-10,
     frequency : float
         Dominant oscillation rate of the integrand (rad per unit k).  Used
         only to size the initial panels.
-    order : int
-        Gauss-Legendre order of the base rule; the error estimate compares
-        against the doubled order.
     max_panels : int
         Panel budget.  With n0 initial panels and S bisections in the whole
         tree, ``ConvergenceError`` is raised iff ``n0 + 2*S > max_panels``.
@@ -149,5 +146,5 @@ def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-10,
     if a == b:
         return 0.0
     n0 = int(InitialPanels.count(abs(b - a), frequency))
-    panels = InitialPanels(a, b, n0, tol, order, max_panels)
+    panels = InitialPanels(a, b, n0, tol, max_panels)
     return panels.integrate(f, f(panels.nodes))

@@ -174,8 +174,8 @@ class TestVolumeCoefficients:
 class TestPredictionStructure:
     def test_prediction_evaluates_linear_plus_logs(self):
         p = AsymptoticPrediction(linear_coeff=0.25, linear_length=8.0,
-                                 log_terms=((2.0, np.e),), constant=1.0)
-        assert p.total() == pytest.approx(0.25 * 8 + 2.0 + 1.0)
+                                 log_terms=((2.0, np.e),))
+        assert p.total() == pytest.approx(0.25 * 8 + 2.0)
 
     def test_rejects_nonpositive_log_argument(self):
         with pytest.raises(DomainError):

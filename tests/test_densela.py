@@ -92,7 +92,7 @@ class TestHermEigvals:
         m = np.array([[0.0, 1.0], [1.0 + 1e-5j, 0.0]])
         with pytest.raises(SymmetryError) as err:
             herm_eigvals(m)
-        assert err.value.max_deviation == pytest.approx(1e-5, rel=1e-3)
+        assert f"{np.max(np.abs(m - m.conj().T)):.3e}" in str(err.value)
 
     def test_tolerance_applies_to_a_matrix_that_is_not_exactly_hermitian(self):
         rng = np.random.default_rng(5)
@@ -104,7 +104,7 @@ class TestHermEigvals:
         far[4, 1] += 1e-9
         with pytest.raises(SymmetryError) as err:
             herm_eigvals(far)
-        assert err.value.max_deviation == pytest.approx(1e-9, rel=1e-6)
+        assert f"{np.max(np.abs(far - far.conj().T)):.3e}" in str(err.value)
 
     def test_rejects_nan(self):
         with pytest.raises(DimensionError):
@@ -122,7 +122,7 @@ class TestHermEigvals:
         if dev > HERMITICITY_TOL:
             with pytest.raises(SymmetryError) as err:
                 herm_eigvals(h)
-            assert err.value.max_deviation == float(dev)
+            assert f"{dev:.3e}" in str(err.value)
         else:
             assert np.array_equal(herm_eigvals(h), np.linalg.eigvalsh(h))
 

@@ -10,31 +10,34 @@ from nesscorr.model import (
     BiasConfig,
     ConstantS,
     Geometry,
-    ScatteringData,
     SingleSite,
     fermi_momentum,
     mirror_overlap,
-    scattering_at,
 )
+
+
+def _s_matrix(model, k):
+    """The 2x2 S-matrices [[r_l, t_r], [t_l, r_r]] of ``model`` at the momenta ``k``."""
+    r_l, t_l, r_r, t_r = model.amplitudes(k)
+    return np.stack([np.stack([r_l, t_r], -1), np.stack([t_l, r_r], -1)], -2)
 
 
 class TestScattering:
     def test_single_site_transparent(self):
-        s = scattering_at(SingleSite(eps0=0.0), np.pi / 2)
-        assert s.transmission == pytest.approx(1.0)
+        assert SingleSite(eps0=0.0).transmission(np.pi / 2) == pytest.approx(1.0)
 
     def test_single_site_half_transmission(self):
         # eps0 = 2 eta at k = pi/2: T = 1 / (1 + 1) = 1/2
-        s = scattering_at(SingleSite(eps0=2.0, eta=1.0), np.pi / 2)
-        assert s.transmission == pytest.approx(0.5)
+        model = SingleSite(eps0=2.0, eta=1.0)
+        assert model.transmission(np.pi / 2) == pytest.approx(0.5)
 
     def test_constant_model_returns_stored_amplitudes(self):
         model = ConstantS.beamsplitter(0.3)
-        for k in (0.3, 1.1, 2.9):
-            s = scattering_at(model, k)
-            assert s.t_l == pytest.approx(np.sqrt(0.3))
-            residual = np.max(np.abs(s.matrix().conj().T @ s.matrix() - np.eye(2)))
-            assert residual <= 1e-12
+        k = np.array([0.3, 1.1, 2.9])
+        np.testing.assert_allclose(model.amplitudes(k)[1], np.sqrt(0.3))
+        s = _s_matrix(model, k)
+        residual = np.max(np.abs(s.conj().swapaxes(-1, -2) @ s - np.eye(2)))
+        assert residual <= 1e-12
 
     @pytest.mark.parametrize("model", [
         SingleSite(eps0=0.7, eta=1.0),
@@ -42,28 +45,22 @@ class TestScattering:
         ConstantS.beamsplitter(0.42),
     ])
     def test_unitarity_over_momentum_grid(self, model):
-        for k in np.linspace(0.01, np.pi - 0.01, 200):
-            s = scattering_at(model, k)
-            m = s.matrix()
-            assert np.max(np.abs(m.conj().T @ m - np.eye(2))) <= 1e-10
-            assert s.transmission + s.reflection == pytest.approx(1.0, abs=1e-12)
+        k = np.linspace(0.01, np.pi - 0.01, 200)
+        s = _s_matrix(model, k)
+        assert np.max(np.abs(s.conj().swapaxes(-1, -2) @ s - np.eye(2))) <= 1e-10
+        np.testing.assert_allclose(model.transmission(k) + model.reflection(k), 1.0,
+                                   rtol=0, atol=1e-12)
 
     def test_single_site_transmission_symmetric_about_half_filling(self):
         model = SingleSite(eps0=1.3)
         for dk in (0.1, 0.5, 1.2):
-            left = scattering_at(model, np.pi / 2 - dk).transmission
-            right = scattering_at(model, np.pi / 2 + dk).transmission
+            left = model.transmission(np.pi / 2 - dk)
+            right = model.transmission(np.pi / 2 + dk)
             assert left == pytest.approx(right, rel=1e-12)
 
-    def test_momentum_domain(self):
+    def test_constant_s_rejects_non_unitary(self):
         with pytest.raises(DomainError):
-            scattering_at(SingleSite(eps0=1.0), 0.0)
-        with pytest.raises(DomainError):
-            scattering_at(SingleSite(eps0=1.0), np.pi)
-
-    def test_scattering_data_rejects_non_unitary(self):
-        with pytest.raises(DomainError):
-            ScatteringData(k=1.0, r_l=0.5, t_l=0.5, r_r=0.5, t_r=0.5)
+            ConstantS(0.5, 0.5, 0.5, 0.5)
 
 
 class TestFermiMomentum:
