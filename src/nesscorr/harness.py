@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -102,6 +103,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scan_variable not in ("length", "offset"):
             raise ConfigError(f"scan variable {self.scan_variable!r} unknown")
+        if self.scan_variable == "offset" and (self.ell_r_ratio, self.offset_ratio) != (1, 0):
+            raise ConfigError(
+                f"scan.ell_r_ratio = {self.ell_r_ratio}, scan.offset_ratio = "
+                f"{self.offset_ratio}: an offset scan reads neither; only length scans do")
         if len(self.scan_values) == 0:
             raise ConfigError("scan grid must be nonempty")
         if any(b <= a for a, b in zip(self.scan_values, self.scan_values[1:])):
@@ -116,6 +121,9 @@ class ExperimentConfig:
         for m in self.measures:
             if m not in MEASURES:
                 raise ConfigError(f"unknown measure {m!r}")
+            if MEASURES[m].indices and any(not n >= 2 or n % 1 for n in self.n_values):
+                raise ConfigError(f"n_values = {','.join(map(str, self.n_values))}: "
+                                  f"measure {m} needs integer Renyi indices >= 2")
             if MEASURES[m].indices == "even" and any(n % 2 for n in self.n_values):
                 raise ConfigError(f"measure {m} needs even Renyi indices")
         negativities = [m for m in self.measures if m in ("E", "E_n")]
@@ -446,6 +454,8 @@ CONFIG_KEYS = frozenset("""
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a flat key=value experiment configuration; unknown keys raise.
 
+    Every number must be finite: NaN and +-inf raise, naming their key.
+
     Keys (defaults in brackets):
       model.kind            single_site | constant_s
       model.eps0, model.eta single_site on-site energy; the hopping (> 0) [1],
@@ -463,10 +473,12 @@ def parse_config(text: str) -> ExperimentConfig:
       scan.variable         length | offset
       scan.values           comma list, or start:stop[:step]
       scan.ell_r_ratio      length scans: ell_r = ratio * ell [1]
-      scan.offset_ratio     length scans: d_l - d_r = ratio * ell [0]
+      scan.offset_ratio     length scans: d_l - d_r = ratio * ell [0]; an
+                            offset scan rejects either ratio off its default
       measures              comma subset of S_n, MI_n, MI, E_n, E (E, E_n only
                             on length scans at ratio 1 and offset ratio 0)
-      n_values              comma list of Renyi indices [2]
+      n_values              comma list of integer Renyi indices >= 2 (even
+                            for E_n) [2]
       mode                  longrange | full [longrange]
       output.csv            path for the scan CSV [none]
 
@@ -485,9 +497,12 @@ def parse_config(text: str) -> ExperimentConfig:
     def value(key, convert, default=None):
         raw = need(key) if default is None else kv.get(key, default)
         try:
-            return convert(raw)
+            out = convert(raw)
         except ValueError as exc:
             raise ConfigError(f"{key} = {raw}: {exc}") from exc
+        if isinstance(out, float) and not math.isfinite(out):
+            raise ConfigError(f"{key} = {raw}: the value must be finite")
+        return out
 
     def checked(keys, build):
         # a value that build() rejects: name the keys it read from the file
@@ -499,7 +514,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     kind = need("model.kind")
     eta = value("model.eta", float, "1")
-    if not eta > 0:  # NaN too, and whichever kind or bias form reads it
+    if not eta > 0:  # checked whichever kind or bias form reads it
         raise ConfigError(f"model.eta = {kv['model.eta']}: the hopping must be > 0")
     if kind == "single_site":
         eps0 = value("model.eps0", float)

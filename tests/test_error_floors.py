@@ -1,7 +1,7 @@
 """Error floors of the measures against 30-digit evaluations of the same C_A.
 
-MI, MI_2 and S_2(A) take their values from ``eigvalsh`` spectra of C_A,
-C_L and C_R.  Each case here recomputes them from ``mpmath.eighe``
+MI, MI_2 and S_n(A) (n = 2, 3, 4) take their values from ``eigvalsh``
+spectra of C_A, C_L and C_R.  Each case here recomputes them from ``mpmath.eighe``
 spectra of the same float matrices at 30 digits, so the difference is
 the rounding of the float eigensolver and of the sums alone, not the
 error of the build.  The Renyi negativities E_2 and E_4, by the C_Xi
@@ -11,26 +11,39 @@ cases are long-range builds at the acceptance bias (pi/2 + 0.2, pi/2)
 with ell_l = ell_r = ell and d_l = d_r = 0.
 
 The Hermitian bounds are about 14 times the largest differences
-measured (7.0e-14 for MI, 8.2e-15 for MI_2 and 6.7e-15 for S_2); the
-negativity bound is 12 times the largest of the C_Xi route (8.0e-15;
-2.7e-15 for the determinant route).  All sit below the 1e-10 row
-tolerance of the benchmark's reference check.  The README lists them
-with E's floor, which is still open.
+measured (7.0e-14 for MI, 8.2e-15 for MI_2 and 6.7e-15 for S_2) and
+about 11 times those of S_3 (4.7e-15) and S_4 (4.2e-15); the negativity
+bound is 12 times the largest of the C_Xi route (8.0e-15; 2.7e-15 for
+the determinant route).
+
+Two cases at ell = 512 need no 30-digit reference.  At T = 0 and T = 1
+no amplitude links the two sides, so C_A = C_L + C_R (a direct sum) and
+MI = MI_2 = 0 exactly; the values measured (1.0e-12 for MI, 6.4e-14 for
+MI_2, both at T = 1) are the rounding of three spectra and their sums,
+bounded at about 10 times.  Moving every entry of a ``SingleSite(1)``
+C_A by one ulp, kept Hermitian, moves MI by up to 3.5e-12 and MI_2 by up
+to 2.0e-13 over three draws, bounded at about 11 and 10 times: no float
+evaluation of these C_A resolves MI more finely.  All the bounds sit
+below the 1e-10 row tolerance of the benchmark's reference check.  The
+README lists them with E's floor, which is still open.
 """
 
 import mpmath
 import numpy as np
 import pytest
 
-from nesscorr.correlation import build_corr_matrix
+from nesscorr.correlation import CorrelationMatrix, build_corr_matrix
 from nesscorr.measures import (mutual_information, renyi_entropy, renyi_negativity_det,
                                renyi_negativity_eig)
 from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
 
 BIAS = BiasConfig(np.pi / 2 + 0.2, np.pi / 2)
 DPS = 30
-BOUNDS = {"MI": 1e-12, "MI_2": 1e-13, "S_2": 1e-13}
+BOUNDS = {"MI": 1e-12, "MI_2": 1e-13, "S_2": 1e-13, "S_3": 5e-14, "S_4": 5e-14}
 NEGATIVITY_BOUND = 1e-13
+DECOUPLED_BOUNDS = {"MI": 1e-11, "MI_2": 6e-13}
+ONE_ULP_BOUNDS = {"MI": 4e-11, "MI_2": 2e-12}
+LARGE = Geometry(0, 0, 512, 0, 512)
 MODELS = {"single_site": SingleSite(1.0), "beamsplitter": ConstantS.beamsplitter(0.4)}
 
 
@@ -61,13 +74,46 @@ def test_hermitian_measures_sit_on_their_floor(name, ell):
             "MI": float(_vn_mp(spectra[0]) + _vn_mp(spectra[1]) - _vn_mp(spectra[2])),
             "MI_2": float(_renyi_mp(spectra[0], 2) + _renyi_mp(spectra[1], 2)
                           - _renyi_mp(spectra[2], 2)),
-            "S_2": float(_renyi_mp(spectra[2], 2)),
+            **{f"S_{n}": float(_renyi_mp(spectra[2], n)) for n in (2, 3, 4)},
         }
-    got = {"MI": mutual_information(c_l, c_r, c_a).value,
-           "MI_2": mutual_information(c_l, c_r, c_a, 2).value,
-           "S_2": renyi_entropy(c_a, 2).value}
+    got = {**_mutual_informations(c_a, c_l, c_r),
+           **{f"S_{n}": renyi_entropy(c_a, n).value for n in (2, 3, 4)}}
     for key, bound in BOUNDS.items():
         assert abs(got[key] - want[key]) <= bound, (key, got[key], want[key])
+
+
+def _mutual_informations(c_a, c_l, c_r) -> dict[str, float]:
+    return {"MI": mutual_information(c_l, c_r, c_a).value,
+            "MI_2": mutual_information(c_l, c_r, c_a, 2).value}
+
+
+@pytest.mark.parametrize("transmission", [0.0, 1.0])
+def test_decoupled_mutual_informations_sit_on_their_floor(transmission):
+    c_a = build_corr_matrix(ConstantS.beamsplitter(transmission), BIAS, LARGE, "A",
+                            "longrange")
+    assert not np.any(c_a.mat[:c_a.n_left, c_a.n_left:])  # C_A = C_L + C_R
+    got = _mutual_informations(c_a, *c_a.blocks())
+    for key, bound in DECOUPLED_BOUNDS.items():
+        assert abs(got[key]) <= bound, (key, got[key])
+
+
+def _one_ulp_move(mat: np.ndarray, rng) -> np.ndarray:
+    """``mat`` with each real and imaginary part moved one ulp up or down, kept Hermitian."""
+    way = rng.choice([-np.inf, np.inf], size=(2,) + mat.shape)
+    moved = np.nextafter(mat.real, way[0]) + 1j * np.nextafter(mat.imag, way[1])
+    upper = np.triu(moved, 1)
+    return upper + upper.conj().T + np.diag(moved.diagonal().real)
+
+
+def test_one_ulp_perturbation_moves_mutual_informations_within_their_floor():
+    c_a = build_corr_matrix(SingleSite(1.0), BIAS, LARGE, "A", "longrange")
+    want = _mutual_informations(c_a, *c_a.blocks())
+    for seed in range(3):
+        moved = CorrelationMatrix(c_a.sites, _one_ulp_move(c_a.mat, np.random.default_rng(seed)),
+                                  c_a.n_left)
+        got = _mutual_informations(moved, *moved.blocks())
+        for key, bound in ONE_ULP_BOUNDS.items():
+            assert abs(got[key] - want[key]) <= bound, (key, seed, got[key], want[key])
 
 
 def _negativity_mp(mat: np.ndarray, size_left: int, n: int) -> mpmath.mpf:

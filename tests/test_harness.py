@@ -469,6 +469,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    @pytest.mark.parametrize("measure", ["S_n", "MI_n"])
+    @pytest.mark.parametrize("n", [2.5, 1, 0])
+    def test_renyi_index_must_be_an_integer_from_two(self, measure, n):
+        # at 2.5 the numeric route would evaluate int(n) = 2 against the closed form at 2.5
+        with pytest.raises(ConfigError, match=f"^n_values = 2,{n}: measure {measure} "):
+            small_config(measures=(measure,), n_values=(2, n))
+        assert small_config(measures=(measure,), n_values=(2.0, 3)).n_values == (2.0, 3)
+
+    @pytest.mark.parametrize("line", ["scan.ell_r_ratio = 3", "scan.offset_ratio = 0.5"])
+    def test_offset_scan_rejects_length_scan_ratios(self, line, tmp_path, capsys):
+        with open(os.path.join(ROOT, "configs", "offset_scan.cfg")) as fh:
+            text = fh.read() + line + "\n"
+        with pytest.raises(ConfigError, match=re.escape(line)):
+            parse_config(text)
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(text.replace("offset_scan.csv", str(tmp_path / "out.csv")))
+        assert main(["scan", str(cfg_file)]) == 1
+        assert line in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_repeated_measure_rejected(self):
         with pytest.raises(ConfigError, match="repeated measure MI:"):
             parse_config(CONFIG_TEXT.replace("MI,MI_n", "MI,MI_n,MI"))
@@ -555,7 +575,10 @@ class TestConfigParsing:
     @pytest.mark.parametrize("kind,line", [
         ("single_site", "model.eps0 = one"), ("single_site", "geometry.d_l = 2.5"),
         ("single_site", "geometry.d_r = -3"), ("single_site", "bias.kf_l = 4.0"),
-        ("constant_s", "model.eta = -1")])
+        ("constant_s", "model.eta = -1"), ("single_site", "model.eps0 = nan"),
+        ("constant_s", "model.eta = inf"), ("single_site", "scan.offset_ratio = nan"),
+        ("single_site", "scan.offset_ratio = inf"), ("constant_s", "bias.kf_r = -inf"),
+        ("constant_s", "n_values = 1"), ("constant_s", "n_values = 0")])
     def test_invalid_value_is_a_config_error_naming_its_key(self, kind, line, tmp_path,
                                                              capsys):
         key = line.split(" =")[0]
