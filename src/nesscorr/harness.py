@@ -121,7 +121,7 @@ class ExperimentConfig:
         for m in self.measures:
             if m not in MEASURES:
                 raise ConfigError(f"unknown measure {m!r}")
-            if MEASURES[m].indices and any(not n >= 2 or n % 1 for n in self.n_values):
+            if MEASURES[m].indices and any(n < 2 or n % 1 for n in self.n_values):
                 raise ConfigError(f"n_values = {','.join(map(str, self.n_values))}: "
                                   f"measure {m} needs integer Renyi indices >= 2")
             if MEASURES[m].indices == "even" and any(n % 2 for n in self.n_values):
