@@ -16,7 +16,6 @@ from .asymptotics import (
     renyi_mi_asym,
     single_interval_entropy_asym,
     vn_mi_asym,
-    volume_coeff,
 )
 from .correlation import (
     CorrelationMatrix,
@@ -77,5 +76,4 @@ __all__ = [
     "single_interval_entropy_asym",
     "vn_entropy",
     "vn_mi_asym",
-    "volume_coeff",
 ]

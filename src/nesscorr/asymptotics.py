@@ -173,39 +173,6 @@ def _window_average(model: ImpurityModel, bias: BiasConfig, integrand) -> float:
         bias.k_minus, bias.k_plus, tol=Q_TOL)
 
 
-def volume_coeff(model: ImpurityModel, bias: BiasConfig, kind: str,
-                 n: float | None = None) -> float:
-    """Per-site coefficient of the extensive term for the given measure.
-
-    kinds: entropy_n, mi_n (Renyi index n), mi_vn, neg_n (even n), neg_vn.
-    neg_vn integrates ln(sqrt T + sqrt R) = ln(1 + 2 sqrt(T R)) / 2 (as
-    T + R = 1), which is exactly 0 wherever T or R is.
-    """
-    pi = np.pi
-    if kind in ("entropy_n", "mi_n"):
-        if n is None or n <= 0 or n == 1:
-            raise DomainError(f"{kind} requires n > 0, n != 1")
-        scale = 2 * pi if kind == "entropy_n" else pi
-        return _window_average(
-            model, bias,
-            lambda t, r: np.log(t ** n + r ** n)) / (scale * (1 - n))
-    if kind == "mi_vn":
-        return _window_average(
-            model, bias,
-            lambda t, r: -_xlogx(t) - _xlogx(r)) / pi
-    if kind == "neg_n":
-        if n is None or n < 2 or n % 2:
-            raise DomainError("neg_n requires an even integer n >= 2")
-        return _window_average(
-            model, bias,
-            lambda t, r: np.log(t ** (n / 2) + r ** (n / 2))) / pi
-    if kind == "neg_vn":
-        return _window_average(
-            model, bias,
-            lambda t, r: 0.5 * np.log1p(2.0 * np.sqrt(t * r))) / pi
-    raise DomainError(f"unknown volume coefficient kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # predictions
 
@@ -293,6 +260,8 @@ def single_interval_entropy_asym(model: ImpurityModel, bias: BiasConfig,
     _require_bias(bias)
     if side not in ("L", "R"):
         raise DomainError(f"side must be 'L' or 'R', got {side!r}")
+    if n <= 0 or n == 1:
+        raise DomainError(f"Renyi index n={n} must be positive and != 1")
     kf_own = bias.kf_l if side == "L" else bias.kf_r
     kf_other = bias.kf_r if side == "L" else bias.kf_l
     ell = g.ell_l if side == "L" else g.ell_r
@@ -300,7 +269,8 @@ def single_interval_entropy_asym(model: ImpurityModel, bias: BiasConfig,
     r_other = float(model.reflection(kf_other))
     coeff = (1 + n) / (12 * n) + (q_n(t_own, n) + q_n(r_other, n)) / (1 - n)
     return AsymptoticPrediction(
-        linear_coeff=volume_coeff(model, bias, "entropy_n", n),
+        linear_coeff=_window_average(
+            model, bias, lambda t, r: np.log(t ** n + r ** n)) / (2 * np.pi * (1 - n)),
         linear_length=float(ell),
         log_terms=((coeff, float(ell)),))
 
@@ -330,7 +300,8 @@ def renyi_mi_asym(model: ImpurityModel, bias: BiasConfig, g: Geometry,
         return c1, c2
 
     return AsymptoticPrediction(
-        linear_coeff=volume_coeff(model, bias, "mi_n", n),
+        linear_coeff=_window_average(
+            model, bias, lambda t, r: np.log(t ** n + r ** n)) / (np.pi * (1 - n)),
         linear_length=float(ell_mirror),
         log_terms=_mi_log_terms(model, bias, g, coeffs))
 
@@ -345,7 +316,8 @@ def vn_mi_asym(model: ImpurityModel, bias: BiasConfig,
         return 0.5 * q_fun(t, r), 0.5 * q_tilde_fun(t, r)
 
     return AsymptoticPrediction(
-        linear_coeff=volume_coeff(model, bias, "mi_vn"),
+        linear_coeff=_window_average(
+            model, bias, lambda t, r: -_xlogx(t) - _xlogx(r)) / np.pi,
         linear_length=float(ell_mirror),
         log_terms=_mi_log_terms(model, bias, g, coeffs))
 
@@ -366,16 +338,20 @@ def negativity_asym_symmetric(model: ImpurityModel, bias: BiasConfig,
             "and d_l == d_r")
     ell = g.ell_l
     if n is None:
-        n_eff, kind = 1.0, "neg_vn"
+        n_eff = 1.0
+    elif n < 2 or n % 2:
+        raise DomainError(f"Renyi negativity index n={n} must be even, >= 2")
     else:
-        if n < 2 or n % 2:
-            raise DomainError(f"Renyi negativity index n={n} must be even, >= 2")
-        n_eff, kind = float(n), "neg_n"
+        n_eff = float(n)
+    # E integrates ln(sqrt T + sqrt R) = ln(1 + 2 sqrt(T R)) / 2 (as T + R = 1),
+    # which is exactly 0 wherever T or R is
+    integrand = ((lambda t, r: 0.5 * np.log1p(2.0 * np.sqrt(t * r))) if n is None
+                 else (lambda t, r: np.log(t ** (n / 2) + r ** (n / 2))))
     coeff = -n_eff / 4.0
     for kf in (bias.kf_l, bias.kf_r):
         t, r = float(model.transmission(kf)), float(model.reflection(kf))
         coeff += q_n(t, n_eff / 2.0) + q_n(r, n_eff / 2.0)
     return AsymptoticPrediction(
-        linear_coeff=volume_coeff(model, bias, kind, n),
+        linear_coeff=_window_average(model, bias, integrand) / np.pi,
         linear_length=float(ell),
         log_terms=((coeff, float(ell)),))

@@ -7,7 +7,7 @@ numerical library at run time.  This module owns the input validation,
 the error taxonomy and the log-determinant phase bookkeeping.  Matrices
 are plain ``numpy.ndarray`` of complex128, validated by :func:`as_matrix`.
 It also owns the one Toeplitz fill (:func:`toeplitz`) that every
-scalar and block Toeplitz builder of the package goes through.
+Toeplitz builder of the package goes through.
 """
 
 from __future__ import annotations
@@ -42,21 +42,16 @@ def _require_square(m: np.ndarray) -> np.ndarray:
 
 
 def toeplitz(coeffs) -> np.ndarray:
-    """Toeplitz matrix of its 2N-1 diagonals, scalar or square blocks.
+    """N x N Toeplitz matrix of its 2N-1 diagonals.
 
-    ``coeffs[k]`` holds on the lag ``k - (N - 1)`` diagonal: block (p, q)
-    is ``coeffs[p - q + N - 1]``.  Blocks of shape (b, b) give an Nb x Nb
-    matrix.  The entries are gathered, never recomputed, so they keep the
-    dtype and the bits of ``coeffs``.
+    ``coeffs[k]`` holds on the lag ``k - (N - 1)`` diagonal: entry (p, q)
+    is ``coeffs[p - q + N - 1]``.  The entries are gathered, never
+    recomputed, so they keep the dtype and the bits of ``coeffs``.
     """
     coeffs = np.asarray(coeffs)
     size = (len(coeffs) + 1) // 2
     idx = np.arange(size)
-    out = coeffs[idx[:, None] - idx[None, :] + size - 1]
-    if out.ndim == 2:
-        return out
-    b = coeffs.shape[1]
-    return out.transpose(0, 2, 1, 3).reshape(size * b, size * b)
+    return coeffs[idx[:, None] - idx[None, :] + size - 1]
 
 
 def herm_eigvals(m) -> np.ndarray:

@@ -113,17 +113,15 @@ def _arc_fourier(th, values, lags) -> np.ndarray:
     """sum_r values[r] * int_{arc r} e^{-i lag theta} dtheta / 2 pi, per lag.
 
     Arc r runs from ``th[r]`` to the next angle, the last one wrapping
-    through +-pi back to ``th[0]``; ``values`` holds one scalar or one
-    square block per arc.  These are the Fourier coefficients of a
-    piecewise-constant symbol, exact in closed form.
+    through +-pi back to ``th[0]``; ``values`` holds one scalar per arc.
+    These are the Fourier coefficients of a piecewise-constant symbol,
+    exact in closed form.
     """
     values = np.asarray(values, dtype=complex)
-    # lags run down axis 0, arcs along axis 1, block entries after them
-    trail = (1,) * (values.ndim - 1)
+    # lags run down axis 0, arcs along axis 1
     starts = np.asarray(th, dtype=float)
-    ends = np.append(starts[1:], starts[0] + TWO_PI).reshape((-1,) + trail)
-    starts = starts.reshape(ends.shape)
-    lag = np.asarray(lags).reshape((-1, 1) + trail)
+    ends = np.append(starts[1:], starts[0] + TWO_PI)
+    lag = np.asarray(lags)[:, None]
     safe = np.where(lag == 0, 1, lag)
     # each lag divides once, after the sum over arcs
     arcs = np.where(lag == 0, ends - starts,
@@ -176,13 +174,6 @@ def fh_logdet_asym(s: PiecewiseSymbol, m: int) -> complex:
 # measure symbols
 
 
-def _check_windows(theta_l, theta_r):
-    for lo, hi in (theta_l, theta_r):
-        if not 0.0 < lo < hi < np.pi:
-            raise DomainError(
-                f"window ({lo}, {hi}) must satisfy 0 < th_- < th_+ < pi")
-
-
 def _merge_arcs(breaks, values) -> PiecewiseSymbol:
     """Drop null jumps (merge equal adjacent arcs, including the wrap)."""
     kept_b, kept_v = [], []
@@ -199,22 +190,38 @@ def _merge_arcs(breaks, values) -> PiecewiseSymbol:
     return PiecewiseSymbol(jumps=tuple(kept_b), values=tuple(kept_v))
 
 
-def _mixed_symbol(window_fn, theta_l, theta_r, transmission: float) -> PiecewiseSymbol:
-    """Assemble phi(th) = W(th) on th < 0, T W(th) + R W(-th) on th >= 0."""
-    refl = 1.0 - transmission
-    cuts = {-np.pi, 0.0}
+def _window_symbol(left: complex, right: complex, theta_l, theta_r,
+                   transmission: float) -> PiecewiseSymbol:
+    """Assemble phi(th) = W(th) on th < 0, T W(th) + R W(-th) on th >= 0.
+
+    W is ``left`` on the mirrored left window [-th_+, -th_-] of
+    ``theta_l``, ``right`` on the right window ``theta_r`` and 1 elsewhere.
+    """
     for lo, hi in (theta_l, theta_r):
-        cuts.update((-hi, -lo, lo, hi))
+        if not 0.0 < lo < hi < np.pi:
+            raise DomainError(
+                f"window ({lo}, {hi}) must satisfy 0 < th_- < th_+ < pi")
+    (l_lo, l_hi), (r_lo, r_hi) = theta_l, theta_r
+
+    def window(th):
+        if -l_hi <= th <= -l_lo:
+            return left
+        if r_lo <= th <= r_hi:
+            return right
+        return 1.0
+
+    refl = 1.0 - transmission
+    cuts = {-np.pi, 0.0, -l_hi, -l_lo, l_lo, l_hi, -r_hi, -r_lo, r_lo, r_hi}
     breaks = sorted(c for c in cuts if -np.pi <= c < np.pi)
     values = []
     for i, b in enumerate(breaks):
         hi = breaks[i + 1] if i + 1 < len(breaks) else np.pi
         mid = 0.5 * (b + hi)
         if mid < 0:
-            values.append(complex(window_fn(mid)))
+            values.append(complex(window(mid)))
         else:
-            values.append(complex(transmission * window_fn(mid)
-                                  + refl * window_fn(-mid)))
+            values.append(complex(transmission * window(mid)
+                                  + refl * window(-mid)))
     return _merge_arcs(breaks, values)
 
 
@@ -225,57 +232,26 @@ def mi_symbol(subsystem: str, gamma: float, n: int, theta_l, theta_r,
     ``theta_l`` and ``theta_r`` are the (th_-, th_+) windows of the two
     intervals; the left window enters mirrored onto negative angles.
     """
-    _check_windows(theta_l, theta_r)
-    phase = np.exp(2j * np.pi * gamma / n)
-    l_lo, l_hi = theta_l
-    r_lo, r_hi = theta_r
-
-    def window(th):
-        active = False
-        if subsystem in ("A_L", "A"):
-            active = active or (-l_hi <= th <= -l_lo)
-        if subsystem in ("A_R", "A"):
-            active = active or (r_lo <= th <= r_hi)
-        return phase if active else 1.0
-
     if subsystem not in ("A_L", "A_R", "A"):
         raise DomainError(f"unknown subsystem {subsystem!r}")
-    return _mixed_symbol(window, theta_l, theta_r, transmission)
+    phase = np.exp(2j * np.pi * gamma / n)
+    return _window_symbol(phase if subsystem != "A_R" else 1.0,
+                          phase if subsystem != "A_L" else 1.0,
+                          theta_l, theta_r, transmission)
 
 
 def negativity_symbol(gamma: float, n: int, theta_l, theta_r,
                       transmission: float) -> PiecewiseSymbol:
     """Negativity Toeplitz symbol: the right window carries -e^{-2 pi i gamma/n}.
 
-    If a jump ratio lands exactly on the negative real axis (the branch
-    boundary the asymptotics cannot cross), the gamma phase is nudged by
-    one part in 1e9 and the symbol is rebuilt; this is reported through a
-    BranchError only if the nudge fails too.
+    A jump ratio on the branch cut (the negative real axis) makes
+    :meth:`PiecewiseSymbol.beta_exponents` raise a BranchError.
     """
-    _check_windows(theta_l, theta_r)
     if n < 2 or n % 2:
         raise DomainError(f"negativity replica index n={n} must be even, >= 2")
-    l_lo, l_hi = theta_l
-    r_lo, r_hi = theta_r
-
-    def build(g):
-        plus = np.exp(2j * np.pi * g / n)
-        minus = -np.exp(-2j * np.pi * g / n)
-
-        def window(th):
-            if -l_hi <= th <= -l_lo:
-                return plus
-            if r_lo <= th <= r_hi:
-                return minus
-            return 1.0
-
-        return _mixed_symbol(window, theta_l, theta_r, transmission)
-
-    symbol = build(gamma)
-    ratios = symbol.jump_ratios() if symbol.jumps else np.array([])
-    if np.any((ratios.imag == 0.0) & (ratios.real < 0.0)):
-        symbol = build(gamma * (1.0 + 1e-9) + 1e-12)
-    return symbol
+    return _window_symbol(np.exp(2j * np.pi * gamma / n),
+                          -np.exp(-2j * np.pi * gamma / n),
+                          theta_l, theta_r, transmission)
 
 
 # ---------------------------------------------------------------------------

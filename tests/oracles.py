@@ -647,11 +647,24 @@ def block_symbol(model: ImpurityModel, bias: BiasConfig,
 
 
 def block_toeplitz_matrix(b: BlockSymbol, ell: int) -> np.ndarray:
-    """Exact 2 ell x 2 ell block-Toeplitz matrix of a 2x2 symbol."""
+    """Exact 2 ell x 2 ell block-Toeplitz matrix of a 2x2 symbol.
+
+    Each block entry's Fourier coefficients are the scalar arc integrals;
+    the blocks are gathered here, one by one, not by ``densela.toeplitz``.
+    """
     if ell < 1:
         raise DomainError(f"block count {ell} must be >= 1")
-    coeffs = _arc_fourier(b.breaks, b.blocks, np.arange(1 - ell, ell))
-    return as_matrix(toeplitz(coeffs))
+    lags = np.arange(1 - ell, ell)
+    blocks = np.asarray(b.blocks, dtype=complex)
+    coeffs = np.empty((len(lags), 2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            coeffs[:, i, j] = _arc_fourier(b.breaks, blocks[:, i, j], lags)
+    out = np.empty((2 * ell, 2 * ell), dtype=complex)
+    for p in range(ell):
+        for q in range(ell):
+            out[2 * p:2 * p + 2, 2 * q:2 * q + 2] = coeffs[p - q + ell - 1]
+    return as_matrix(out)
 
 
 def _check_lambda(lam: complex):

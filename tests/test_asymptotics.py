@@ -16,7 +16,6 @@ from nesscorr.asymptotics import (
     renyi_mi_asym,
     single_interval_entropy_asym,
     vn_mi_asym,
-    volume_coeff,
 )
 from nesscorr.correlation import build_corr_matrix
 from nesscorr.errors import BiasError, DomainError, ScopeError
@@ -111,19 +110,23 @@ class TestSpecialFunctions:
 
 
 class TestVolumeCoefficients:
+    # each closed form's per-site volume coefficient, on a symmetric geometry
+    G = Geometry(m0=0, d_l=4, ell_l=16, d_r=4, ell_r=16)
+
     def test_mi_vn_trivial_impurity(self):
-        assert volume_coeff(ConstantS.beamsplitter(1.0), BIAS,
-                            "mi_vn") == pytest.approx(0.0, abs=1e-12)
+        assert vn_mi_asym(ConstantS.beamsplitter(1.0), BIAS,
+                          self.G).linear_coeff == pytest.approx(0.0, abs=1e-12)
 
     def test_mi_vn_half_transmission(self):
         want = 0.2 / np.pi * np.log(2.0)
-        got = volume_coeff(ConstantS.beamsplitter(0.5), BIAS, "mi_vn")
+        got = vn_mi_asym(ConstantS.beamsplitter(0.5), BIAS, self.G).linear_coeff
         assert want == pytest.approx(0.044127, abs=5e-7)
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_neg_vn_half_transmission(self):
         want = 0.2 / np.pi * 0.5 * np.log(2.0)
-        got = volume_coeff(ConstantS.beamsplitter(0.5), BIAS, "neg_vn")
+        got = negativity_asym_symmetric(ConstantS.beamsplitter(0.5), BIAS,
+                                        self.G).linear_coeff
         assert want == pytest.approx(0.022064, abs=5e-7)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -133,23 +136,24 @@ class TestVolumeCoefficients:
         for n in (2, 3):
             want = BIAS.delta_k / (2 * np.pi * (1 - n)) * np.log(
                 t ** n + (1 - t) ** n)
-            assert volume_coeff(model, BIAS, "entropy_n", n) == pytest.approx(
-                want, abs=1e-12)
-            assert volume_coeff(model, BIAS, "mi_n", n) == pytest.approx(
-                2 * want, abs=1e-12)
+            entropy = single_interval_entropy_asym(model, BIAS, self.G, "L", n)
+            assert entropy.linear_coeff == pytest.approx(want, abs=1e-12)
+            assert renyi_mi_asym(model, BIAS, self.G, n).linear_coeff == \
+                pytest.approx(2 * want, abs=1e-12)
 
     def test_single_site_quadrature_against_trapezoid(self):
         model = SingleSite(eps0=1.0)
         ks = np.linspace(BIAS.k_minus, BIAS.k_plus, 200001)
         t = model.transmission(ks)
         want = np.trapezoid(np.log(t ** 2 + (1 - t) ** 2), ks) / (np.pi * (1 - 2))
-        assert volume_coeff(model, BIAS, "mi_n", 2) == pytest.approx(
-            want, abs=1e-9)
+        assert renyi_mi_asym(model, BIAS, self.G, 2).linear_coeff == \
+            pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("eps0", [0.0, 1e-12, 1e-8, 1e-6])
     def test_neg_vn_near_trivial_impurity_against_mpmath(self, eps0):
         # T rounds to just below 1 at many nodes here, so R must not be 1 - T
-        got = volume_coeff(SingleSite(eps0=eps0), BIAS, "neg_vn")
+        got = negativity_asym_symmetric(SingleSite(eps0=eps0), BIAS,
+                                        self.G).linear_coeff
         with mpmath.workdps(40):
             a2 = mpmath.mpf(eps0 / 2.0) ** 2
 
@@ -164,11 +168,16 @@ class TestVolumeCoefficients:
         else:
             assert got == pytest.approx(want, rel=1e-10)
 
-    def test_kind_validation(self):
+    def test_index_validation(self):
         with pytest.raises(DomainError):
-            volume_coeff(ConstantS.beamsplitter(0.5), BIAS, "neg_n", 3)
+            negativity_asym_symmetric(ConstantS.beamsplitter(0.5), BIAS, self.G, 3)
+
+    @pytest.mark.parametrize("n", [1.0, 0.0, -2.0])
+    def test_single_interval_entropy_rejects_index_before_dividing(self, n):
+        # checked before (1 + n) / (12 n) and (1 - n) divide
         with pytest.raises(DomainError):
-            volume_coeff(ConstantS.beamsplitter(0.5), BIAS, "nonsense")
+            single_interval_entropy_asym(ConstantS.beamsplitter(0.5), BIAS,
+                                         self.G, "L", n)
 
 
 class TestPredictionStructure:

@@ -175,6 +175,13 @@ class TestMeasureSymbols:
         s = negativity_symbol(0.5, 2, (0.3, 0.8), (0.3, 0.8), 0.6)
         assert len(s.jumps) == 4
 
+    def test_negativity_symbol_on_the_cut_raises_branch_error(self):
+        # gamma = 0 at T = 1: the right window carries -1 next to arcs of 1
+        s = negativity_symbol(0.0, 2, (0.2, 0.5), (0.7, 1.1), 1.0)
+        assert np.any(s.jump_ratios() == -1.0)
+        with pytest.raises(BranchError):
+            s.beta_exponents()
+
     def test_negativity_branch_edge_never_hit_on_grid(self):
         for n, gamma in ((2, 0.5), (4, 0.5), (4, 1.5), (6, 2.5)):
             for t in np.linspace(0.0, 1.0, 11):
