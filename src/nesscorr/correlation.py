@@ -17,8 +17,11 @@ to ``kf_r``).  Two evaluation modes are provided:
 ``full``
     Direct quadrature of the complete mode sum at finite distances,
     including the reflection terms oscillating in j + m that the
-    long-range kernel drops.  Bound states are ignored throughout (their
-    weight at the subsystems is exponentially small in d_i).
+    long-range kernel drops.  A single-site impurity with eps0 < 0 binds a
+    state below the band, below both chemical potentials: both reservoirs
+    fill it, and full mode adds it.  For eps0 > 0 the bound state lies above
+    the band and stays empty.  Its weight at d_i is not small for weak
+    impurities (0.09 at eps0 = -0.05, d = 20, ell = 6); long range drops it.
 
 Within each built matrix the Hermitian mirror is stored exactly: the
 upper triangle is computed once and conjugated into the lower one.
@@ -39,7 +42,7 @@ import numpy as np
 
 from .densela import toeplitz
 from .errors import DomainError
-from .model import BiasConfig, ConstantS, Geometry, ImpurityModel
+from .model import BiasConfig, ConstantS, Geometry, ImpurityModel, SingleSite
 from .quadrature import InitialPanels
 
 ENTRY_TOL = 1e-11
@@ -273,7 +276,8 @@ def corr_entry_full(model: ImpurityModel, bias: BiasConfig, j, m,
     """Finite-distance entries <c_j^dag c_m> by direct quadrature.
 
     Integrates the complete scattering-state products over both occupied
-    seas, keeping the reflection cross terms the long-range kernel drops.
+    seas, keeping the reflection cross terms the long-range kernel drops,
+    and adds the bound state below the band when there is one.
     ``j`` and ``m`` are sites or arrays of sites (broadcast together); the
     result has their shape.
     """
@@ -286,7 +290,10 @@ def corr_entry_full(model: ImpurityModel, bias: BiasConfig, j, m,
             f"region |m| <= {m0}")
     jf, mf = j.ravel(), m.ravel()
     values = (_full_sea(model, bias.kf_l, True, jf, mf)
-              + _full_sea(model, bias.kf_r, False, jf, mf)).reshape(j.shape)
+              + _full_sea(model, bias.kf_r, False, jf, mf))
+    if isinstance(model, SingleSite) and model.eps0 < 0:
+        values += model.bound_state(jf) * model.bound_state(mf)
+    values = values.reshape(j.shape)
     return values[()] if values.ndim == 0 else values
 
 

@@ -135,6 +135,13 @@ class ExperimentConfig:
                 "scan.ell_r_ratio = 1 and scan.offset_ratio = 0")
         if self.mode not in ("longrange", "full"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        for value in self.scan_values:
+            try:
+                geometry_at(self, value)
+            except (DomainError, OverflowError) as exc:
+                raise ConfigError(
+                    f"scan.values point {value}, scan.ell_r_ratio = {self.ell_r_ratio}, "
+                    f"scan.offset_ratio = {self.offset_ratio!r}: {exc}") from exc
 
 
 @dataclass

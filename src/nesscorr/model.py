@@ -133,6 +133,16 @@ class SingleSite(ImpurityModel):
         a = self.eps0 / (2.0 * self.eta)
         return a * a / (s * s + a * a)
 
+    def bound_state(self, j) -> np.ndarray:
+        """Amplitudes psi_j = sqrt((1 - z^2) / (1 + z^2)) z^|j| of the bound state.
+
+        Defined for eps0 < 0 only, where it lies below the band, at energy
+        -sqrt(eps0^2 + 4 eta^2), with z = 2 eta / (sqrt(eps0^2 + 4 eta^2) - eps0)
+        in (0, 1); every sign is positive.
+        """
+        z = 2.0 * self.eta / (np.hypot(self.eps0, 2.0 * self.eta) - self.eps0)
+        return np.sqrt((1.0 - z * z) / (1.0 + z * z)) * z ** np.abs(j)
+
 
 def fermi_momentum(eta: float, mu: float) -> float:
     """Fermi momentum arccos(-mu / 2 eta) in [0, pi]."""
@@ -187,6 +197,11 @@ class Geometry:
                 raise DomainError(f"{name}={value!r} must be a nonnegative integer")
         if self.ell_l < 1 or self.ell_r < 1:
             raise DomainError("subsystem lengths must be at least 1 site")
+        reach = int(self.m0) + max(int(self.d_l) + int(self.ell_l),
+                                   int(self.d_r) + int(self.ell_r))
+        if reach > np.iinfo(np.int64).max:
+            raise DomainError(f"the outermost site, {reach} from the impurity, "
+                              "does not fit a 64-bit integer")
 
     def left_sites(self) -> np.ndarray:
         """A_L site indices, ascending (leftmost first)."""

@@ -24,8 +24,24 @@ bounded at about 10 times.  Moving every entry of a ``SingleSite(1)``
 C_A by one ulp, kept Hermitian, moves MI by up to 3.5e-12 and MI_2 by up
 to 2.0e-13 over three draws, bounded at about 11 and 10 times: no float
 evaluation of these C_A resolves MI more finely.  All the bounds sit
-below the 1e-10 row tolerance of the benchmark's reference check.  The
-README lists them with E's floor, which is still open.
+below the 1e-10 row tolerance of the benchmark's reference check.
+
+Two exact symmetries of the chain give a second, independently built C_A
+at any size.  The particle-hole map c_j -> (-1)^j c_j^dag flips eps0 and
+sends each Fermi momentum k to pi - k:
+C_A(eps0; k_l, k_r) = I - S conj(C_A(-eps0; pi - k_l, pi - k_r)) S with
+S = diag((-1)^j).  In full mode it holds only with the bound state that
+eps0 < 0 binds below the band filled; the entries agree to 3.4e-16,
+bounded at 1e-14.  In long range the measures of the two builds differ
+by 1.7e-12 (MI), 8.2e-14 (MI_2) and 1.1e-13 (S_2) at ell = 512, and at
+ell = 256 by 5.7e-14 (E_2) and 7.1e-14 (E_4) on the C_Xi route and by
+2.7e-15 (E_2) and 8.9e-15 (E_4) on the determinant route; each bound is
+about 10 times that.  E itself moves by 3e-7 there and is left out until
+its C_Xi route is mended.  The mirror map j -> -j swaps k_l with k_r and
+(d_l, ell_l) with (d_r, ell_r); the mirrored build, its sites reversed,
+gives C_A back to 3.1e-18 in long range and 2.8e-17 in full mode, bounded
+at about 10 times.  The README lists every bound with E's floor, which is
+still open.
 """
 
 import mpmath
@@ -44,6 +60,12 @@ NEGATIVITY_BOUND = 1e-13
 DECOUPLED_BOUNDS = {"MI": 1e-11, "MI_2": 6e-13}
 ONE_ULP_BOUNDS = {"MI": 4e-11, "MI_2": 2e-12}
 LARGE = Geometry(0, 0, 512, 0, 512)
+PARTICLE_HOLE_BOUNDS = {"MI": 2e-11, "MI_2": 1e-12, "S_2": 1e-12}
+PARTICLE_HOLE_NEGATIVITY_BOUNDS = {(renyi_negativity_eig, 2): 6e-13,
+                                   (renyi_negativity_eig, 4): 7e-13,
+                                   (renyi_negativity_det, 2): 3e-14,
+                                   (renyi_negativity_det, 4): 9e-14}
+MIRROR_BOUNDS = {"longrange": 3e-17, "full": 3e-16}
 MODELS = {"single_site": SingleSite(1.0), "beamsplitter": ConstantS.beamsplitter(0.4)}
 
 
@@ -142,3 +164,48 @@ def test_renyi_negativities_sit_on_their_floor(name, ell):
         for route in (renyi_negativity_eig, renyi_negativity_det):
             got = route(c_a, c_a.n_left, n).value
             assert abs(got - want) <= NEGATIVITY_BOUND, (route.__name__, n, got, want)
+
+
+def _particle_hole_pair(eps0: float, g: Geometry, mode: str):
+    """C_A at eps0, and I - S conj(C_A') S from the partner build C_A' at -eps0."""
+    c_a = build_corr_matrix(SingleSite(eps0), BIAS, g, "A", mode)
+    flipped = BiasConfig(np.pi - BIAS.kf_l, np.pi - BIAS.kf_r)
+    partner = build_corr_matrix(SingleSite(-eps0), flipped, g, "A", mode)
+    sign = (-1.0) ** partner.sites
+    mapped = np.eye(len(sign)) - sign[:, None] * partner.mat.conj() * sign[None, :]
+    return c_a, CorrelationMatrix(partner.sites, mapped, partner.n_left)
+
+
+@pytest.mark.parametrize("d", [1, 4, 20])
+@pytest.mark.parametrize("eps0", [0.05, 0.3, 1.0])
+def test_full_mode_particle_hole_map_fills_the_bound_state(eps0, d):
+    # the build at -eps0 < 0 holds the occupied bound state; at d = 20 its
+    # weight at A is still 9.3e-2 for eps0 = 0.05
+    c_a, mapped = _particle_hole_pair(-eps0, Geometry(0, d, 6, d, 6), "full")
+    assert np.max(np.abs(c_a.mat - mapped.mat)) <= 1e-14
+
+
+def test_particle_hole_map_moves_hermitian_measures_within_their_floor():
+    pair = _particle_hole_pair(1.0, LARGE, "longrange")
+    got = [{**_mutual_informations(c, *c.blocks()), "S_2": renyi_entropy(c, 2).value}
+           for c in pair]
+    for key, bound in PARTICLE_HOLE_BOUNDS.items():
+        assert abs(got[0][key] - got[1][key]) <= bound, (key, got[0][key], got[1][key])
+
+
+def test_particle_hole_map_moves_renyi_negativities_within_their_floor():
+    pair = _particle_hole_pair(1.0, Geometry(0, 0, 256, 0, 256), "longrange")
+    for (route, n), bound in PARTICLE_HOLE_NEGATIVITY_BOUNDS.items():
+        got = [route(c, c.n_left, n).value for c in pair]
+        assert abs(got[0] - got[1]) <= bound, (route.__name__, n, got)
+
+
+@pytest.mark.parametrize("mode, g", [("longrange", Geometry(0, 3, 96, 7, 128)),
+                                     ("full", Geometry(0, 20, 6, 25, 9))])
+@pytest.mark.parametrize("eps0", [1.0, -0.3])
+def test_mirror_map_gives_the_matrix_back(mode, g, eps0):
+    c_a = build_corr_matrix(SingleSite(eps0), BIAS, g, "A", mode)
+    mirrored = build_corr_matrix(SingleSite(eps0), BiasConfig(BIAS.kf_r, BIAS.kf_l),
+                                 Geometry(g.m0, g.d_r, g.ell_r, g.d_l, g.ell_l), "A", mode)
+    assert np.array_equal(mirrored.sites[::-1], -c_a.sites)
+    assert np.max(np.abs(c_a.mat - mirrored.mat[::-1, ::-1])) <= MIRROR_BOUNDS[mode]

@@ -578,7 +578,10 @@ class TestConfigParsing:
         ("constant_s", "model.eta = -1"), ("single_site", "model.eps0 = nan"),
         ("constant_s", "model.eta = inf"), ("single_site", "scan.offset_ratio = nan"),
         ("single_site", "scan.offset_ratio = inf"), ("constant_s", "bias.kf_r = -inf"),
-        ("constant_s", "n_values = 1"), ("constant_s", "n_values = 0")])
+        ("constant_s", "n_values = 1"), ("constant_s", "n_values = 0"),
+        # the offset places sites beyond int64, or overflows to an infinite offset
+        ("constant_s", "scan.offset_ratio = 1e+18"),
+        ("constant_s", "scan.offset_ratio = 1e+308")])
     def test_invalid_value_is_a_config_error_naming_its_key(self, kind, line, tmp_path,
                                                              capsys):
         key = line.split(" =")[0]

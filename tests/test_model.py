@@ -129,6 +129,13 @@ class TestGeometry:
         with pytest.raises(DomainError):
             Geometry(m0=0, d_l=1, ell_l=0, d_r=1, ell_r=5)
 
+    def test_outermost_site_must_fit_int64(self):
+        top = np.iinfo(np.int64).max
+        assert Geometry(m0=1, d_l=top - 3, ell_l=2, d_r=0, ell_r=1).left_sites()[0] == -top
+        for d_l, d_r in ((top - 2, 0), (0, top - 2)):
+            with pytest.raises(DomainError, match="64-bit"):
+                Geometry(m0=1, d_l=d_l, ell_l=2, d_r=d_r, ell_r=2)
+
     def test_site_maps_exclude_impurity(self):
         g = Geometry(m0=3, d_l=0, ell_l=4, d_r=0, ell_r=4)
         assert np.all(np.abs(g.left_sites()) > g.m0)

@@ -1,7 +1,8 @@
 """A fixed-seed robustness sweep over the edges of the parameter space.
 
 Single-site impurities from the trivial one (eps0 = 0) to a nearly
-opaque one (eps0 = 30), beamsplitters from opaque to transparent, Fermi
+opaque one (eps0 = 30), attractive ones (eps0 < 0, whose bound state
+full mode fills), beamsplitters from opaque to transparent, Fermi
 momenta within 1e-3 of the band edges, zero bias, and lengths up to 32,
 in both modes.  Every row must be finite or carry a typed error, and
 only the errors a point can legitimately raise may appear:
@@ -20,7 +21,8 @@ from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
 SEED = 2023
 EDGE = 1e-3
 MODELS = ([SingleSite(eps0=eps0) for eps0 in (0.0, 1e-12, 2e-8, 1e-6, 1e-3, 0.05, 1.0, 30.0)]
-          + [ConstantS.beamsplitter(t) for t in (0.0, 1e-12, 0.5, 1.0)])
+          + [ConstantS.beamsplitter(t) for t in (0.0, 1e-12, 0.5, 1.0)]
+          + [SingleSite(eps0=eps0) for eps0 in (-0.05, -1.0)])
 BIAS_KINDS = ("low edge", "high edge", "across", "zero")
 MAX_ELL = {"longrange": 32, "full": 16}   # full mode integrates every entry
 TYPED = {name for name in dir(errors)
