@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .densela import toeplitz
 from .errors import DomainError
@@ -50,6 +51,7 @@ FULL_TOL = 1e-10
 SPECTRUM_SLACK = 1e-8
 # cache key of the last full-mode build's (sites, mat); window keys are tuples
 _LAST_FULL = "last full build"
+_HERMITIAN_STRIP = 64
 
 
 @dataclass(frozen=True)
@@ -297,6 +299,32 @@ def corr_entry_full(model: ImpurityModel, bias: BiasConfig, j, m,
     return values[()] if values.ndim == 0 else values
 
 
+def _hermitian_fill(mat: np.ndarray) -> None:
+    """Store the Hermitian matrix of ``mat``'s upper triangle, in place.
+
+    The diagonal becomes ``0.0 + Re``, an entry u above it ``0.0 + u`` and
+    its mirror ``0.0 + conj(u)``: the bits of diag + triu + triu^dagger
+    summed into zeros, signed zeros included.  Strips of
+    ``_HERMITIAN_STRIP`` rows are filled from the bottom up, so each strip
+    reads the upper triangle above it before that is rewritten, and no
+    temporary is larger than a strip (a scan holds an earlier C_A during
+    the build).
+    """
+    n = mat.shape[0]
+    b = _HERMITIAN_STRIP
+    for i in reversed(range(0, n, b)):
+        j = min(i + b, n)
+        np.conjugate(mat[:i, i:j].T, out=mat[i:j, :i])
+        mat[i:j, :i] += 0.0
+        upper = np.triu(mat[i:j, i:j], 1)
+        block = np.zeros_like(upper)
+        np.fill_diagonal(block, mat[i:j, i:j].diagonal().real)
+        block += upper
+        block += np.conjugate(upper, out=upper).T
+        mat[i:j, i:j] = block
+        mat[i:j, j:] += 0.0
+
+
 def build_corr_matrix(model: ImpurityModel, bias: BiasConfig, g: Geometry,
                       subsystem: str, mode: str = "longrange",
                       cache=None) -> CorrelationMatrix:
@@ -351,17 +379,9 @@ def build_corr_matrix(model: ImpurityModel, bias: BiasConfig, g: Geometry,
         # cross entries depend on the site sum only (Hankel-like)
         base = int(left[0] + right[0])
         anti = -_window_integrals(model, bias, "R", range(base, base + n - 1), cache)
-        mat[:nl, nl:] = anti[np.arange(nl)[:, None] + np.arange(nr)[None, :]]
+        mat[:nl, nl:] = sliding_window_view(anti, nr)[:nl]
 
-    # exact Hermitian storage: conjugate the computed triangle downward,
-    # diag + upper + upper^dagger summed in place, so that the triangle is
-    # the one n x n temporary (a scan holds an earlier C_A during the build)
-    upper = np.triu(mat, 1)
-    diag = mat.diagonal().real.copy()
-    mat[...] = 0.0
-    np.fill_diagonal(mat, diag)
-    mat += upper
-    mat += np.conjugate(upper, out=upper).T
+    _hermitian_fill(mat)
     c_a = CorrelationMatrix(sites=sites, mat=mat, n_left=nl)
     if mode == "full" and cache is not None:
         cache[_LAST_FULL] = (c_a.sites, c_a.mat)

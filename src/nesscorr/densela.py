@@ -13,6 +13,7 @@ Toeplitz builder of the package goes through.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError, DimensionError, SingularMatrixError, SymmetryError
 
@@ -45,13 +46,14 @@ def toeplitz(coeffs) -> np.ndarray:
     """N x N Toeplitz matrix of its 2N-1 diagonals.
 
     ``coeffs[k]`` holds on the lag ``k - (N - 1)`` diagonal: entry (p, q)
-    is ``coeffs[p - q + N - 1]``.  The entries are gathered, never
-    recomputed, so they keep the dtype and the bits of ``coeffs``.
+    is ``coeffs[p - q + N - 1]``.  Row p is ``coeffs[p:p + N]`` reversed,
+    so the matrix is one strided copy of a sliding-window view: the entries
+    keep the dtype and the bits of ``coeffs``, the result is an owned
+    C-contiguous array, and the N x N result is the only N x N allocation.
     """
     coeffs = np.asarray(coeffs)
     size = (len(coeffs) + 1) // 2
-    idx = np.arange(size)
-    return coeffs[idx[:, None] - idx[None, :] + size - 1]
+    return sliding_window_view(coeffs, size)[:size, ::-1].copy()
 
 
 def herm_eigvals(m) -> np.ndarray:

@@ -23,7 +23,10 @@ through numpy; scipy is a test dependency only.
 entry-by-entry correlation builds the class-batched production builds of
 ``nesscorr.correlation`` replaced: one scalar adaptive quadrature per
 entry and sea, or per window frequency.  The batched builds must give
-their matrices bit for bit.
+their matrices bit for bit.  ``toeplitz_gather`` and
+``hermitian_fill_triu`` are the fills with n x n temporaries (an int64
+index array; a copied triangle) that ``nesscorr.densela.toeplitz`` and
+the strip-wise Hermitian storage replaced, equal bit for bit.
 
 The gamma-sum route (``gamma_log_sum_mi``, ``negativity_gamma_linear_sum``,
 ``negativity_log_coeff_gamma_sum``) sums the Fisher-Hartwig jump
@@ -53,7 +56,7 @@ from nesscorr.correlation import (
     _fermi_kernel,
     _phase_integral,
 )
-from nesscorr.densela import as_matrix, toeplitz
+from nesscorr.densela import as_matrix
 from nesscorr.errors import BranchError, DomainError, ScopeError
 from nesscorr.fisher_hartwig import TWO_PI, _arc_fourier, gamma_range
 from nesscorr.model import BiasConfig, ConstantS, ImpurityModel
@@ -398,22 +401,43 @@ def build_corr_matrix(model, bias, g, mode: str = "longrange",
                 mat[p, q] = corr_entry_full(model, bias, sites[p], sites[q], g.m0)
     else:
         win = WindowIntegrals(model, bias, cache)
-        mat[:nl, :nl] = toeplitz(
+        mat[:nl, :nl] = toeplitz_gather(
             _fermi_kernel(bias.kf_l, np.arange(1 - nl, nl))
             - np.array([win("T", d) for d in range(1 - nl, nl)]))
-        mat[nl:, nl:] = toeplitz(
+        mat[nl:, nl:] = toeplitz_gather(
             _fermi_kernel(bias.kf_r, np.arange(1 - nr, nr))
             + np.array([win("T", -d) for d in range(1 - nr, nr)]))
         base = int(left[0] + right[0])
         anti = np.array([-win("R", base + s) for s in range(n - 1)])
         mat[:nl, nl:] = anti[np.arange(nl)[:, None] + np.arange(nr)[None, :]]
+    hermitian_fill_triu(mat)
+    return mat
+
+
+def toeplitz_gather(coeffs) -> np.ndarray:
+    """N x N Toeplitz matrix of its 2N-1 diagonals, gathered by fancy index.
+
+    Entry (p, q) is ``coeffs[p - q + N - 1]``, read through an N x N int64
+    index array.
+    """
+    coeffs = np.asarray(coeffs)
+    size = (len(coeffs) + 1) // 2
+    idx = np.arange(size)
+    return coeffs[idx[:, None] - idx[None, :] + size - 1]
+
+
+def hermitian_fill_triu(mat: np.ndarray) -> None:
+    """Hermitian matrix of ``mat``'s upper triangle, in place, in one sum.
+
+    The diagonal's real part, the strict upper triangle and its conjugate
+    transpose are added into zeros, with two n x n temporaries.
+    """
     upper = np.triu(mat, 1)
     diag = mat.diagonal().real.copy()
     mat[...] = 0.0
     np.fill_diagonal(mat, diag)
     mat += upper
     mat += np.conjugate(upper, out=upper).T
-    return mat
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Correlation kernels against brute-force quadrature and structure checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
-from nesscorr.correlation import _fermi_kernel, build_corr_matrix, corr_entry_full
+from nesscorr.correlation import (_fermi_kernel, _hermitian_fill, build_corr_matrix,
+                                  corr_entry_full)
 from nesscorr.densela import herm_eigvals
 from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
 
@@ -216,6 +219,41 @@ class TestBuildMatrix:
         c1 = build_corr_matrix(model, BIAS, g1, "A")
         c2 = build_corr_matrix(model, BIAS, g2, "A")
         np.testing.assert_allclose(c1.mat, c2.mat, atol=1e-12)
+
+
+class TestHermitianStorage:
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 150])
+    def test_strip_fill_equals_the_triangle_sum_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        # signed zeros in both triangles and on the diagonal, whose imaginary
+        # parts are nonzero elsewhere
+        mat.real[rng.random((n, n)) < 0.2] = -0.0
+        mat.imag[rng.random((n, n)) < 0.2] = -0.0
+        mat[rng.random((n, n)) < 0.1] = complex(-0.0, -0.0)
+        got, want = mat.copy(), mat.copy()
+        _hermitian_fill(got)
+        oracles.hermitian_fill_triu(want)
+        assert got.tobytes() == want.tobytes()
+
+    def test_longrange_build_across_strips_matches_the_oracle(self):
+        # 129 sites: two full strips and a partial one, unequal sides
+        model = ConstantS.beamsplitter(0.37)
+        g = Geometry(m0=0, d_l=30, ell_l=70, d_r=25, ell_r=59)
+        got = build_corr_matrix(model, BIAS, g, "A").mat
+        assert got.tobytes() == oracles.build_corr_matrix(model, BIAS, g).tobytes()
+
+    def test_longrange_build_holds_no_second_matrix(self):
+        # C_A itself plus one side block's Toeplitz fill (a quarter of it)
+        g = Geometry(m0=0, d_l=512, ell_l=512, d_r=512, ell_r=512)
+        n = g.ell_l + g.ell_r
+        tracemalloc.start()
+        try:
+            build_corr_matrix(ConstantS.beamsplitter(0.3), BIAS, g, "A")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.35 * n * n * 16
 
 
 class TestBlocks:

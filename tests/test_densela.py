@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import lu_factor_logdet
+from oracles import lu_factor_logdet, toeplitz_gather
 
 from nesscorr.densela import (HERMITICITY_TOL, as_matrix, gen_eigvals, herm_eigvals,
                               lu_logdet, toeplitz)
@@ -46,6 +46,36 @@ class TestToeplitz:
         got = toeplitz(coeffs)
         assert got.dtype == coeffs.dtype
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["complex", "real", "int"])
+    @pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 257])
+    def test_equals_the_index_gather_bit_for_bit(self, kind, size):
+        rng = np.random.default_rng(size)
+        coeffs = {
+            "complex": rng.standard_normal(2 * size - 1)
+            + 1j * rng.standard_normal(2 * size - 1),
+            "real": rng.standard_normal(2 * size - 1),
+            "int": rng.integers(-50, 50, 2 * size - 1),
+        }[kind]
+        if kind != "int":  # signed zeros keep their bits
+            coeffs.real[::3] = -0.0
+        if kind == "complex":
+            coeffs.imag[1::3] = -0.0
+        got, want = toeplitz(coeffs), toeplitz_gather(coeffs)
+        assert got.dtype == want.dtype
+        assert got.flags.c_contiguous and got.flags.owndata
+        assert got.tobytes() == want.tobytes()
+
+    def test_holds_no_temporary_beyond_the_result(self):
+        n = 512
+        coeffs = np.random.default_rng(0).standard_normal(2 * n - 1) + 0j
+        tracemalloc.start()
+        try:
+            toeplitz(coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * n * n * coeffs.itemsize
 
 
 class TestHermEigvals:

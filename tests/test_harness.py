@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import nesscorr.harness as harness_module
-from nesscorr import asymptotics, measures
+from nesscorr import asymptotics, fisher_hartwig, measures
 from nesscorr.cli import main
 from nesscorr.errors import BranchError, ConfigError, DomainError, SpectrumError
 from nesscorr.harness import (
@@ -23,11 +24,13 @@ from nesscorr.harness import (
     measure_point,
     parse_config,
     rows_to_csv,
+    run_fh_validation,
     run_identities,
     run_scan,
     scan_summary,
 )
 from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite, fermi_momentum
+from oracles import toeplitz_gather
 
 BIAS = BiasConfig(np.pi / 2 + 0.2, np.pi / 2)
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -612,6 +615,39 @@ class TestIdentitySuite:
         names = {entry["identity"] for entry in report}
         assert {"Q_n(1)=0", "Q_n(0)", "Qt_n(0)=0", "sum_gamma^2",
                 "q(1/2)<0"} <= names
+
+
+class TestFhValidation:
+    # Re ln det of the M = 256, 512, 1024 Toeplitz matrices, per window case
+    # and symbol family, as the index-gather fill gave them
+    EXACT_RE = {
+        ("containment", "mi"): [-7.9977758577645135, -14.67981172476932, -27.909303709012427],
+        ("containment", "negativity"): [-7.997775857764515, -14.679811724769321,
+                                        -27.909303709012438],
+        ("disjoint", "mi"): [-14.065165923910016, -27.07089806520468, -52.95140149058397],
+        ("disjoint", "negativity"): [-14.065165923910016, -27.07089806520468,
+                                     -52.95140149058397],
+        ("partial", "mi"): [-9.032571571534938, -16.934192893946147, -32.60517675849214],
+        ("partial", "negativity"): [-9.032571571534936, -16.934192893946154,
+                                    -32.60517675849215],
+    }
+
+    def test_values_equal_the_index_gather_fill(self, monkeypatch):
+        got = run_fh_validation()
+        monkeypatch.setattr(fisher_hartwig, "toeplitz", toeplitz_gather)
+        assert repr(got) == repr(run_fh_validation())
+        # LAPACK's blocking (its thread count) moves the last bits only
+        assert {(e["case"], e["family"]): e["exact_re"] for e in got} == {
+            key: pytest.approx(want, rel=1e-12) for key, want in self.EXACT_RE.items()}
+
+    def test_holds_one_toeplitz_matrix_at_a_time(self):
+        tracemalloc.start()
+        try:
+            run_fh_validation()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * 16 * 1024 ** 2
 
 
 class TestMeasurePoint:
