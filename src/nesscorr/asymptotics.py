@@ -56,7 +56,7 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     return x * np.log(x, out=np.zeros_like(x), where=x > 0)
 
 
-def _unit_integral(f, n: float) -> float:
+def _unit_integral(f) -> float:
     """int_0^1 f(x) dx through the substitution x = u^2.
 
     The Q-integrands develop x^(n-1)-type endpoint behavior at x = 0
@@ -96,7 +96,7 @@ def q_n(p: float, n: float) -> float:
         t2 = np.log1p(_rise(p, x, n) / norm)
         return (t1 + t2) / (2.0 * np.pi ** 2 * x)
 
-    return -n / 12.0 + _unit_integral(f, n)
+    return -n / 12.0 + _unit_integral(f)
 
 
 def _check_probabilities(t: float, r: float):
@@ -120,7 +120,7 @@ def q_tilde_n(t: float, r: float, n: float) -> float:
         t4 = np.log1p((_rise(r + t * x, r * x, n) - _rise(t, r * x, n)) / den)
         return (t1 + t2 + t3 + t4) / (2.0 * np.pi ** 2 * x)
 
-    return -n / 12.0 + _unit_integral(f, n)
+    return -n / 12.0 + _unit_integral(f)
 
 
 @lru_cache(maxsize=1024)

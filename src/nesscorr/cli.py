@@ -1,7 +1,7 @@
 """Command-line interface: measure, scan, identities, fh-validate.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure in at
-least one scan row or measured value.
+Exit codes: 0 success, 1 configuration error or unwritable output, 2
+numeric failure in at least one scan row or measured value.
 """
 
 from __future__ import annotations
@@ -22,15 +22,21 @@ def _read_config(path: str) -> harness.ExperimentConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
+def _write(text: str, path: str | None) -> None:
+    """``text`` to the file ``path``, or to stdout when there is none."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+
+
 def _cmd_measure(args) -> int:
-    cfg = _read_config(args.config)
-    result = harness.measure_point(cfg)
-    text = harness.to_json(result)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    result = harness.measure_point(_read_config(args.config))
+    _write(harness.to_json(result) + "\n", args.out)
     failed = any("numeric_error" in r for r in result["measures"].values())
     return 2 if failed else 0
 
@@ -38,13 +44,8 @@ def _cmd_measure(args) -> int:
 def _cmd_scan(args) -> int:
     cfg = _read_config(args.config)
     rows = harness.run_scan(cfg)
-    csv_text = harness.rows_to_csv([r for r in rows if r.error is None])
-    out_path = args.out or cfg.output_csv
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write(harness.rows_to_csv([r for r in rows if r.error is None]),
+           args.out or cfg.output_csv)
     summary = harness.scan_summary(rows)
     # ru_maxrss is in KiB on Linux: the process's peak resident set so far
     summary["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -73,12 +74,7 @@ def _cmd_fh_validate(args) -> int:
                 f"{entry['case']},{entry['family']},{m},{e:.12g},{a:.12g},"
                 f"{d:.12g},{entry['lnm_coeff_fit']:.12g},"
                 f"{entry['lnm_coeff_expected']:.12g}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -39,13 +39,11 @@ DEGENERACY_RADIUS = 5  # sites: a nonzero edge difference this close flags a row
 
 
 def _entropy_pair(c_a, c_l, c_r, n: int) -> measures.MeasureResult:
-    """S_n(A_L) + S_n(A_R): the worse residual, both clamp counts."""
+    """S_n(A_L) + S_n(A_R), with both clamp counts."""
     left = measures.renyi_entropy(c_l, n)
     right = measures.renyi_entropy(c_r, n)
-    return measures.MeasureResult(
-        value=left.value + right.value,
-        imag_residual=max(left.imag_residual, right.imag_residual),
-        clamped_count=left.clamped_count + right.clamped_count)
+    return measures.MeasureResult(value=left.value + right.value,
+                                  clamped_count=left.clamped_count + right.clamped_count)
 
 
 def _entropy_pair_asym(model, bias, g, n: float) -> asymptotics.AsymptoticPrediction:
@@ -320,15 +318,14 @@ def scan_summary(rows) -> dict:
 # identity suite
 
 
-def run_identities(n_values=(2, 3, 4, 5), even_n_values=(2, 4, 6),
-                   t_grid=None) -> list[dict]:
+def run_identities() -> list[dict]:
     """Execute the gamma-sum and special-function identity suite.
 
     Returns one record per identity instance with its residual; failures
     are entries with large residuals, never exceptions.
     """
-    if t_grid is None:
-        t_grid = tuple(np.round(np.arange(0.1, 0.95, 0.1), 10))
+    n_values, even_n_values = (2, 3, 4, 5), (2, 4, 6)
+    t_grid = np.round(np.arange(0.1, 0.95, 0.1), 10)
     report: list[dict] = []
 
     def add(name, n, t, residual):
@@ -375,13 +372,13 @@ def identities_max_residuals(report) -> dict[str, float]:
 # Fisher-Hartwig validation suite
 
 
-def run_fh_validation(m_values=(256, 512, 1024), transmission=0.3,
-                      n=2, gamma=0.5) -> list[dict]:
+def run_fh_validation() -> list[dict]:
     """Exact-vs-asymptotic Toeplitz log-determinants for the symbol families.
 
     For each window case and symbol family, reports Re(ln det) exact and
     asymptotic per M, the fitted ln M coefficient and -sum beta^2.
     """
+    m_values, transmission, n, gamma = (256, 512, 1024), 0.3, 2, 0.5
     # windows chosen so the leading finite-M transient still dominates the
     # oscillatory remainder at M = 256: the convergence of (exact - asym)
     # is then monotone at the probed sizes for either symbol family

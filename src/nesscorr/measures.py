@@ -121,7 +121,8 @@ def build_c_xi(c_a: CorrelationMatrix, size_left: int) -> tuple[np.ndarray, floa
     Tr ln[C^2 + (I - C)^2] = ln det(I + Gamma_+ Gamma_-) - n ln 2.
     The first ``size_left`` indices of ``c_a`` must be the left subsystem.
     C_Xi is non-Hermitian in general, but similar to a Hermitian
-    matrix, so its spectrum is real and lies in [0, 1].
+    matrix, so its spectrum is real and lies in [0, 1].  A spectrum of C
+    further than SPECTRUM_HARD outside [0, 1] raises SpectrumError.
 
     Every step writes into an n x n buffer the call already owns, and no
     dense identity is formed: I - x is computed as 0.0 - x plus 1 on the
@@ -156,6 +157,15 @@ def build_c_xi(c_a: CorrelationMatrix, size_left: int) -> tuple[np.ndarray, floa
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"I + Gamma_+ Gamma_- is singular: {exc}") from exc
     occupation = float(lu_logdet(lhs).real - n * np.log(2.0))
+    # lhs has eigenvalues 1 + (1 - 2 lam)^2, so with delta = SPECTRUM_HARD every
+    # lam lies in [-delta, 1 + delta] iff (1 + (1 + 2 delta)^2) I - lhs is PD
+    np.subtract(0.0, lhs, out=lhs)
+    lhs.reshape(-1)[::n + 1] += 1.0 + (1.0 + 2.0 * SPECTRUM_HARD) ** 2
+    try:
+        np.linalg.cholesky(lhs)
+    except np.linalg.LinAlgError as exc:
+        raise SpectrumError(f"correlation spectrum strays outside [0, 1] beyond "
+                            f"{SPECTRUM_HARD}") from exc
     _add_identity(np.subtract(0.0, x, out=x))
     return np.multiply(0.5, x, out=x), occupation
 

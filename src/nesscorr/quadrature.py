@@ -31,6 +31,7 @@ from numpy.polynomial import legendre
 from .errors import ConvergenceError
 
 ORDER = 16  # Gauss-Legendre order of the base rule; the error estimate doubles it
+MAX_PANELS = 40000  # ConvergenceError iff n0 initial panels + 2 per bisection exceed it
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -59,14 +60,12 @@ class InitialPanels:
     values to :meth:`integrate`.
     """
 
-    def __init__(self, a: float, b: float, n0: int, tol: float = 1e-10,
-                 max_panels: int = 40000):
-        if n0 > max_panels:
+    def __init__(self, a: float, b: float, n0: int, tol: float):
+        if n0 > MAX_PANELS:
             raise ConvergenceError(
                 f"quadrature on [{a}, {b}] needs {n0} initial panels, "
-                f"over the budget of {max_panels}")
-        self.a, self.b, self.n0 = a, b, n0
-        self.tol, self.max_panels = tol, max_panels
+                f"over the budget of {MAX_PANELS}")
+        self.a, self.b, self.n0, self.tol = a, b, n0, tol
         self.sign = 1.0
         lo, hi = a, b
         if hi < lo:
@@ -107,9 +106,9 @@ class InitialPanels:
             if not split.any():
                 break
             spent += 2 * np.count_nonzero(split)
-            if spent > self.max_panels:
+            if spent > MAX_PANELS:
                 raise ConvergenceError(
-                    f"quadrature on [{self.a}, {self.b}] exceeded {self.max_panels} "
+                    f"quadrature on [{self.a}, {self.b}] exceeded {MAX_PANELS} "
                     f"panels (largest rejected panel error {np.max(err[split]):.3e})")
             plo, phi, pm = plo[split], phi[split], mid[split]
             plo, phi = np.concatenate([plo, pm]), np.concatenate([pm, phi])
@@ -123,7 +122,7 @@ class InitialPanels:
 
 
 def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-10,
-                            frequency: float = 0.0, max_panels: int = 40000):
+                            frequency: float = 0.0):
     """Integrate ``f`` over the oriented interval [a, b].
 
     Parameters
@@ -139,12 +138,9 @@ def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-10,
     frequency : float
         Dominant oscillation rate of the integrand (rad per unit k).  Used
         only to size the initial panels.
-    max_panels : int
-        Panel budget.  With n0 initial panels and S bisections in the whole
-        tree, ``ConvergenceError`` is raised iff ``n0 + 2*S > max_panels``.
     """
     if a == b:
         return 0.0
     n0 = int(InitialPanels.count(abs(b - a), frequency))
-    panels = InitialPanels(a, b, n0, tol, max_panels)
+    panels = InitialPanels(a, b, n0, tol)
     return panels.integrate(f, f(panels.nodes))

@@ -254,6 +254,22 @@ class TestRunScan:
         assert run_scan(small_config(mode="full", model=SingleSite(eps0=1.0),
                                      **base))[0].error is None
 
+    def test_constant_s_full_mode_negativities_fail_where_mi_does(self, monkeypatch):
+        # at T = 0, d = 1, k_F,L = 3.0 the full-mode C_A spectrum reaches
+        # 1.007-1.070 for ell = 2-16; E and E_n detect it in the C_Xi build,
+        # still without a Hermitian spectrum of C_A
+        sizes = _count_spectra(monkeypatch)
+        rows = run_scan(small_config(
+            model=ConstantS.beamsplitter(0.0), mode="full",
+            bias=BiasConfig(3.0, np.pi / 2), geometry=Geometry(0, 1, 4, 1, 4),
+            scan_values=(2, 4, 8, 16), measures=("E", "E_n"), n_values=(2, 4)))
+        assert sizes == []
+        assert len(rows) == 3 * 4
+        for row in rows:
+            assert row.error == ("SpectrumError: correlation spectrum strays outside "
+                                 "[0, 1] beyond 1e-06"
+                                 + harness_module.CONSTANT_S_FULL_CAUSE)
+
     def test_failed_build_fails_every_row_of_its_point(self, monkeypatch):
         cfg = small_config(model=SingleSite(eps0=1.0), measures=ALL_MEASURES,
                            n_values=(2, 4), scan_values=(4, 6, 8, 10, 12, 14))
@@ -603,15 +619,13 @@ class TestConfigParsing:
 
 class TestIdentitySuite:
     def test_report_residuals_small(self):
-        report = run_identities(n_values=(2, 3), even_n_values=(2,),
-                                t_grid=(0.3, 0.7))
+        report = run_identities()
         worst = identities_max_residuals(report)
         for name, value in worst.items():
             assert value <= 1e-7, f"{name}: {value}"
 
     def test_q_rows_present(self):
-        report = run_identities(n_values=(2, 3), even_n_values=(2,),
-                                t_grid=(0.5,))
+        report = run_identities()
         names = {entry["identity"] for entry in report}
         assert {"Q_n(1)=0", "Q_n(0)", "Qt_n(0)=0", "sum_gamma^2",
                 "q(1/2)<0"} <= names
@@ -766,6 +780,17 @@ class TestCli:
             "output.csv = out.csv", f"output.csv = {tmp_path / 'fail.csv'}"))
         assert main(["scan", str(cfg_file)]) == 2
         assert "SpectrumError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["measure", "scan", "fh-validate"])
+    def test_unwritable_output_is_a_config_error(self, command, tmp_path, capsys):
+        cfg_file = tmp_path / "point.cfg"
+        cfg_file.write_text(CONFIG_TEXT.replace("scan.values = 8,16,32", "scan.values = 8"))
+        out = tmp_path / "missing" / "out.txt"
+        args = [command] + ([str(cfg_file)] if command != "fh-validate" else [])
+        # main returns, so no exception escapes to a traceback
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot write {str(out)!r}: ")
 
     def test_identities_text_output(self, capsys):
         assert main(["identities"]) == 0

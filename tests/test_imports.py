@@ -43,7 +43,7 @@ for text in json.loads(sys.argv[1]):
     harness.scan_summary(rows)
     errors += [r.error for r in rows if r.error is not None]
 harness.run_identities()
-harness.run_fh_validation(m_values=(32, 64, 128))
+harness.run_fh_validation()
 print(json.dumps({"scipy": scipy, "added": sorted(set(sys.modules) - before),
                   "errors": errors}))
 """

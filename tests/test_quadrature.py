@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import nesscorr.asymptotics as asymptotics
+import nesscorr.quadrature as quadrature
 import oracles
 from nesscorr.errors import ConvergenceError, NesscorrError
 from nesscorr.model import BiasConfig, SingleSite
@@ -79,9 +80,9 @@ def _reference_panel(f, lo, hi, order):
     return half * np.sum(w * f(mid + half * x))
 
 
-def _reference_adaptive_gl(f, a, b, tol=1e-10, frequency=0.0, order=16,
-                           max_panels=40000):
+def _reference_adaptive_gl(f, a, b, tol=1e-10, frequency=0.0, order=16):
     """One panel per integrand call, last-in first-out (test oracle)."""
+    max_panels = quadrature.MAX_PANELS
     if a == b:
         return 0.0
     sign = 1.0
@@ -248,7 +249,7 @@ def test_q_fun_integrands_bit_exact(monkeypatch, t):
 
 
 # ---------------------------------------------------------------------------
-# panel budget: the rule raises iff n0 + 2 * splits > max_panels
+# panel budget: the rule raises iff n0 + 2 * splits > MAX_PANELS
 
 
 def _narrow_peak_phase(k):
@@ -265,7 +266,7 @@ BUDGET_CASES = REFINING + [
 
 @pytest.mark.parametrize("name, f, a, b, kwargs", BUDGET_CASES,
                          ids=[case[0] for case in BUDGET_CASES])
-def test_panel_budget_boundary(name, f, a, b, kwargs):
+def test_panel_budget_boundary(name, f, a, b, kwargs, monkeypatch):
     n0 = _initial_panels(a, b, kwargs)
     counted = _Counting(f)
     _reference_adaptive_gl(counted, a, b, **kwargs)
@@ -276,12 +277,15 @@ def test_panel_budget_boundary(name, f, a, b, kwargs):
     if name == "narrow_peak_phase":
         assert (n0, budget) == (26, 30)
     for rule in (_reference_adaptive_gl, adaptive_gauss_legendre):
-        rule(f, a, b, max_panels=budget, **kwargs)
+        monkeypatch.setattr(quadrature, "MAX_PANELS", budget)
+        rule(f, a, b, **kwargs)
+        monkeypatch.setattr(quadrature, "MAX_PANELS", budget - 1)
         with pytest.raises(ConvergenceError) as info:
-            rule(f, a, b, max_panels=budget - 1, **kwargs)
+            rule(f, a, b, **kwargs)
         assert isinstance(info.value, NesscorrError)
     # fewer panels than the initial partition: raise before any evaluation
+    monkeypatch.setattr(quadrature, "MAX_PANELS", n0 - 1)
     unused = _Counting(f)
     with pytest.raises(ConvergenceError):
-        adaptive_gauss_legendre(unused, a, b, max_panels=n0 - 1, **kwargs)
+        adaptive_gauss_legendre(unused, a, b, **kwargs)
     assert unused.nodes == 0
