@@ -7,6 +7,7 @@ numeric failure in at least one scan row or measured value.
 from __future__ import annotations
 
 import argparse
+import os
 import resource
 import sys
 
@@ -22,6 +23,13 @@ def _read_config(path: str) -> harness.ExperimentConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
+def _check_writable(path: str | None) -> None:
+    """Fail before any work if ``path``'s directory is missing or read-only."""
+    directory = os.path.dirname(os.path.abspath(path)) if path else ""
+    if path and not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise ConfigError(f"cannot write {path!r}: no writable directory {directory!r}")
+
+
 def _write(text: str, path: str | None) -> None:
     """``text`` to the file ``path``, or to stdout when there is none."""
     if not path:
@@ -35,6 +43,7 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _cmd_measure(args) -> int:
+    _check_writable(args.out)
     result = harness.measure_point(_read_config(args.config))
     _write(harness.to_json(result) + "\n", args.out)
     failed = any("numeric_error" in r for r in result["measures"].values())
@@ -43,9 +52,10 @@ def _cmd_measure(args) -> int:
 
 def _cmd_scan(args) -> int:
     cfg = _read_config(args.config)
+    out = args.out or cfg.output_csv
+    _check_writable(out)
     rows = harness.run_scan(cfg)
-    _write(harness.rows_to_csv([r for r in rows if r.error is None]),
-           args.out or cfg.output_csv)
+    _write(harness.rows_to_csv([r for r in rows if r.error is None]), out)
     summary = harness.scan_summary(rows)
     # ru_maxrss is in KiB on Linux: the process's peak resident set so far
     summary["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -65,6 +75,7 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_fh_validate(args) -> int:
+    _check_writable(args.out)
     report = harness.run_fh_validation()
     lines = ["case,family,m,exact_re,asym_re,diff_re,lnm_fit,lnm_expected"]
     for entry in report:

@@ -33,7 +33,7 @@ from .correlation import build_corr_matrix
 from .densela import lu_logdet
 from .errors import ConfigError, DomainError, NesscorrError, SpectrumError
 from .model import (BiasConfig, ConstantS, Geometry, ImpurityModel, SingleSite,
-                    fermi_momentum, mirror_overlap)
+                    mirror_overlap)
 
 DEGENERACY_RADIUS = 5  # sites: a nonzero edge difference this close flags a row
 
@@ -450,7 +450,7 @@ def _int_list(value: str) -> tuple[int, ...]:
 
 CONFIG_KEYS = frozenset("""
     model.kind model.eps0 model.eta model.transmission
-    bias.kf_l bias.kf_r bias.mu_l bias.mu_r
+    bias.kf_l bias.kf_r
     geometry.m0 geometry.d_l geometry.ell_l geometry.d_r geometry.ell_r
     scan.variable scan.values scan.ell_r_ratio scan.offset_ratio
     measures n_values mode output.csv""".split())
@@ -462,14 +462,11 @@ def parse_config(text: str) -> ExperimentConfig:
     Every number must be finite: NaN and +-inf raise, naming their key.
 
     Keys (defaults in brackets):
-      model.kind            single_site | constant_s
-      model.eps0, model.eta single_site on-site energy; the hopping (> 0) [1],
-                            which for either kind sets k_F = arccos(-mu / 2 eta)
-      model.transmission    constant_s beamsplitter transmission
-      bias.kf_l, bias.kf_r  Fermi momenta in [0, pi], kept as given; or
-      bias.mu_l, bias.mu_r  chemical potentials in [-2 eta, 2 eta], converted
-                            to k_F.  One form only: a file that sets keys of
-                            both is rejected
+      model.kind            single_site | constant_s; a model key that the
+                            kind does not read is rejected
+      model.eps0, model.eta single_site: on-site energy; the hopping (> 0) [1]
+      model.transmission    constant_s: beamsplitter transmission
+      bias.kf_l, bias.kf_r  Fermi momenta in [0, pi], kept as given
       geometry.m0, geometry.d_l, geometry.ell_l, geometry.d_r, geometry.ell_r
                             a scan places d_l from geometry.d_r and the offset,
                             and a length scan takes ell_l, ell_r from
@@ -518,33 +515,24 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"{given}: {exc}") from exc
 
     kind = need("model.kind")
-    eta = value("model.eta", float, "1")
-    if not eta > 0:  # checked whichever kind or bias form reads it
-        raise ConfigError(f"model.eta = {kv['model.eta']}: the hopping must be > 0")
+    reads = {"single_site": ("model.eps0", "model.eta"),
+             "constant_s": ("model.transmission",)}.get(kind)
+    if reads is None:
+        raise ConfigError(f"unknown model.kind {kind!r}")
+    stray = sorted({"model.eps0", "model.eta", "model.transmission"} & set(kv) - set(reads))
+    if stray:  # a key that no branch below reads would be dropped silently
+        raise ConfigError(f"{', '.join(f'{k} = {kv[k]}' for k in stray)}: "
+                          f"model.kind = {kind} reads only {', '.join(reads)}")
     if kind == "single_site":
-        eps0 = value("model.eps0", float)
-        model: ImpurityModel = SingleSite(eps0=eps0, eta=eta)
-    elif kind == "constant_s":
+        eps0, eta = value("model.eps0", float), value("model.eta", float, "1")
+        model: ImpurityModel = checked(("model.eta",), lambda: SingleSite(eps0, eta))
+    else:
         transmission = value("model.transmission", float)
         model = checked(("model.transmission",),
                         lambda: ConstantS.beamsplitter(transmission))
-    else:
-        raise ConfigError(f"unknown model.kind {kind!r}")
 
-    kf_keys = [key for key in ("bias.kf_l", "bias.kf_r") if key in kv]
-    mu_keys = [key for key in ("bias.mu_l", "bias.mu_r") if key in kv]
-    if kf_keys and mu_keys:
-        raise ConfigError(
-            f"{', '.join(kf_keys + mu_keys)}: the bias is set two ways; give "
-            "either bias.kf_l and bias.kf_r or bias.mu_l and bias.mu_r")
-    if kf_keys:
-        kf_l, kf_r = value("bias.kf_l", float), value("bias.kf_r", float)
-        bias = checked(("bias.kf_l", "bias.kf_r"), lambda: BiasConfig(kf_l, kf_r))
-    else:
-        mu_l, mu_r = value("bias.mu_l", float), value("bias.mu_r", float)
-        bias = checked(("bias.mu_l", "bias.mu_r", "model.eta"),
-                       lambda: BiasConfig(fermi_momentum(eta, mu_l),
-                                          fermi_momentum(eta, mu_r)))
+    kf_l, kf_r = value("bias.kf_l", float), value("bias.kf_r", float)
+    bias = checked(("bias.kf_l", "bias.kf_r"), lambda: BiasConfig(kf_l, kf_r))
 
     sizes = {name: value(f"geometry.{name}", int, default)
              for name, default in (("m0", "0"), ("d_l", "0"), ("ell_l", "1"),

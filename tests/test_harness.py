@@ -29,7 +29,7 @@ from nesscorr.harness import (
     run_scan,
     scan_summary,
 )
-from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite, fermi_momentum
+from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
 from oracles import toeplitz_gather
 
 BIAS = BiasConfig(np.pi / 2 + 0.2, np.pi / 2)
@@ -530,14 +530,6 @@ class TestConfigParsing:
             with open(os.path.join(ROOT, "configs", name)) as fh:
                 assert parse_config(fh.read()).scan_values
 
-    def test_known_keys_are_the_readme_schema(self):
-        with open(os.path.join(ROOT, "README.md")) as fh:
-            readme = fh.read()
-        table = readme.split("## Configuration schema", 1)[1].split("\n\n")[2]
-        keys = {key for line in table.splitlines()[2:]
-                for key in line.split("|")[1].replace("`", "").replace(",", " ").split()}
-        assert keys == harness_module.CONFIG_KEYS
-
     def test_scans_place_d_l_from_d_r(self):
         # the template's d_l, and in length scans its lengths, serve measure only
         with open(os.path.join(ROOT, "configs", "symmetric_length_scan.cfg")) as fh:
@@ -551,51 +543,58 @@ class TestConfigParsing:
         g = geometry_at(cfg, -350)
         assert (g.d_l, g.d_r, g.ell_l, g.ell_r) == (400, 750, 100, 200)
 
-    def test_mu_based_bias(self):
-        text = CONFIG_TEXT.replace(
-            "bias.kf_l = 1.7707963267948966", "bias.mu_l = 0.2").replace(
-            "bias.kf_r = 1.5707963267948966", "bias.mu_r = 0.0")
-        cfg = parse_config(text)
-        assert cfg.bias.kf_r == pytest.approx(np.pi / 2)
-        # model.eta is the one hopping, for constant_s too
-        cfg = parse_config(text + "model.eta = 2\n")
-        assert cfg.bias.kf_l == fermi_momentum(2.0, 0.2)
-
-    def test_bias_set_two_ways_rejected(self):
-        both = CONFIG_TEXT + "bias.mu_l = 0.5\nbias.mu_r = -1.9\n"
-        with pytest.raises(ConfigError, match="^bias.kf_l, bias.kf_r, bias.mu_l, "
-                           "bias.mu_r: the bias is set two ways"):
-            parse_config(both)
-        mixed = CONFIG_TEXT.replace("bias.kf_r = 1.5707963267948966", "bias.mu_r = -1.9")
-        with pytest.raises(ConfigError, match="^bias.kf_l, bias.mu_r: the bias is set two ways"):
-            parse_config(mixed)
-
     def test_band_edge_fermi_momentum_kept_exactly(self):
         with open(os.path.join(ROOT, "configs", "beamsplitter_point.cfg")) as fh:
             text = fh.read().replace("bias.kf_l = 1.7707963267948966", "bias.kf_l = 1e-06")
         cfg = parse_config(text.replace("bias.kf_r = 1.5707963267948966", "bias.kf_r = 0.0"))
         assert (cfg.bias.kf_l, cfg.bias.kf_r) == (1e-06, 0.0)
 
-    @pytest.mark.parametrize("kind", ["single_site", "constant_s"])
-    @pytest.mark.parametrize("form", ["kf", "mu"])
-    @pytest.mark.parametrize("eta", ["0", "-1", "nan"])
-    def test_nonpositive_hopping_names_model_eta(self, kind, form, eta):
-        text = CONFIG_TEXT + f"model.eta = {eta}\n"
-        if kind == "single_site":
-            text = text.replace("model.transmission = 0.5", "model.eps0 = 1.0").replace(
-                "constant_s", "single_site")
-        if form == "mu":
-            text = text.replace("bias.kf_l = 1.7707963267948966", "bias.mu_l = 0.2").replace(
-                "bias.kf_r = 1.5707963267948966", "bias.mu_r = 0.0")
-        with pytest.raises(ConfigError, match=f"model.eta = {eta}"):
+    def test_chemical_potential_keys_are_unknown(self, tmp_path, capsys):
+        # bias.mu_l, bias.mu_r were keys once: convert with model.fermi_momentum
+        text = CONFIG_TEXT.replace(
+            "bias.kf_l = 1.7707963267948966", "bias.mu_l = 0.2").replace(
+            "bias.kf_r = 1.5707963267948966", "bias.mu_r = 0.0")
+        with pytest.raises(ConfigError,
+                           match="^unknown configuration keys: bias.mu_l, bias.mu_r$"):
             parse_config(text)
+        with pytest.raises(ConfigError, match="bias.mu_l"):
+            parse_config(CONFIG_TEXT + "bias.mu_l = 0.2\n")
+        cfg_file = tmp_path / "mu.cfg"
+        cfg_file.write_text(text)
+        assert main(["scan", str(cfg_file)]) == 1
+        assert "bias.mu_l" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,line", [
+        ("constant_s", "model.eps0 = 3.0"), ("constant_s", "model.eta = 1.0"),
+        ("single_site", "model.transmission = 0.3")])
+    def test_model_key_the_kind_never_reads_is_rejected(self, kind, line, tmp_path,
+                                                        capsys):
+        name = {"constant_s": "beamsplitter_point.cfg",
+                "single_site": "symmetric_length_scan.cfg"}[kind]
+        with open(os.path.join(ROOT, "configs", name)) as fh:
+            text = fh.read() + line + "\n"
+        with pytest.raises(ConfigError, match=f"^{re.escape(line)}: model.kind = {kind} "
+                           "reads only "):
+            parse_config(text)
+        cfg_file = tmp_path / "stray.cfg"
+        cfg_file.write_text(text.replace("symmetric_length_scan.csv",
+                                         str(tmp_path / "out.csv")))
+        assert main(["scan", str(cfg_file)]) == 1
+        assert line in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("eta", ["0", "-1", "nan"])
+    def test_nonpositive_hopping_names_model_eta(self, eta):
+        text = CONFIG_TEXT.replace("model.kind = constant_s\nmodel.transmission = 0.5",
+                                   "model.kind = single_site\nmodel.eps0 = 1.0")
+        with pytest.raises(ConfigError, match=f"^model.eta = {eta}: "):
+            parse_config(text + f"model.eta = {eta}\n")
 
     @pytest.mark.parametrize("kind,line", [
         ("single_site", "model.eps0 = one"), ("single_site", "geometry.d_l = 2.5"),
         ("single_site", "geometry.d_r = -3"), ("single_site", "bias.kf_l = 4.0"),
-        ("constant_s", "model.eta = -1"), ("single_site", "model.eps0 = nan"),
-        ("constant_s", "model.eta = inf"), ("single_site", "scan.offset_ratio = nan"),
+        ("single_site", "model.eta = -1"), ("single_site", "model.eps0 = nan"),
+        ("single_site", "model.eta = inf"), ("single_site", "scan.offset_ratio = nan"),
         ("single_site", "scan.offset_ratio = inf"), ("constant_s", "bias.kf_r = -inf"),
         ("constant_s", "n_values = 1"), ("constant_s", "n_values = 0"),
         # the offset places sites beyond int64, or overflows to an infinite offset
@@ -781,16 +780,36 @@ class TestCli:
         assert main(["scan", str(cfg_file)]) == 2
         assert "SpectrumError" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["measure", "scan", "fh-validate"])
-    def test_unwritable_output_is_a_config_error(self, command, tmp_path, capsys):
-        cfg_file = tmp_path / "point.cfg"
-        cfg_file.write_text(CONFIG_TEXT.replace("scan.values = 8,16,32", "scan.values = 8"))
+    # the last scan takes its output path from the config's output.csv
+    @pytest.mark.parametrize("args", [
+        ["measure", "CFG", "--out", "OUT"], ["scan", "CFG", "--out", "OUT"],
+        ["fh-validate", "--out", "OUT"], ["scan", "CFG"]],
+        ids=["measure", "scan", "fh-validate", "scan-output.csv"])
+    def test_unwritable_output_is_a_config_error(self, args, tmp_path, capsys, monkeypatch):
+        def never(*_):
+            raise AssertionError("the work ran before the output check")
+
+        # the check comes before the work, and creates no directory or file
+        for entry in ("measure_point", "run_scan", "run_fh_validation"):
+            monkeypatch.setattr(harness_module, entry, never)
         out = tmp_path / "missing" / "out.txt"
-        args = [command] + ([str(cfg_file)] if command != "fh-validate" else [])
+        cfg_file = tmp_path / "point.cfg"
+        cfg_file.write_text(CONFIG_TEXT.replace("scan.values = 8,16,32", "scan.values = 8")
+                            .replace("output.csv = out.csv", f"output.csv = {out}"))
+        args = [{"CFG": str(cfg_file), "OUT": str(out)}.get(a, a) for a in args]
         # main returns, so no exception escapes to a traceback
-        assert main(args + ["--out", str(out)]) == 1
+        assert main(args) == 1
         assert capsys.readouterr().err.startswith(
             f"config error: cannot write {str(out)!r}: ")
+        assert os.listdir(tmp_path) == ["point.cfg"]
+
+    def test_output_fault_after_the_check_is_a_config_error(self, tmp_path, capsys):
+        # a directory passes the check on its parent; opening it fails later
+        cfg_file = tmp_path / "point.cfg"
+        cfg_file.write_text(CONFIG_TEXT)
+        assert main(["measure", str(cfg_file), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot write {str(tmp_path)!r}: ")
 
     def test_identities_text_output(self, capsys):
         assert main(["identities"]) == 0
