@@ -583,10 +583,14 @@ class TestConfigParsing:
         assert line in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["single_site", "constant_s"])
     @pytest.mark.parametrize("eta", ["0", "-1", "nan"])
-    def test_nonpositive_hopping_names_model_eta(self, eta):
-        text = CONFIG_TEXT.replace("model.kind = constant_s\nmodel.transmission = 0.5",
-                                   "model.kind = single_site\nmodel.eps0 = 1.0")
+    def test_nonpositive_hopping_names_model_eta(self, kind, eta):
+        # single_site checks the value; constant_s rejects the key it never reads
+        text = CONFIG_TEXT
+        if kind == "single_site":
+            text = text.replace("model.kind = constant_s\nmodel.transmission = 0.5",
+                                "model.kind = single_site\nmodel.eps0 = 1.0")
         with pytest.raises(ConfigError, match=f"^model.eta = {eta}: "):
             parse_config(text + f"model.eta = {eta}\n")
 
@@ -785,14 +789,19 @@ class TestCli:
         ["measure", "CFG", "--out", "OUT"], ["scan", "CFG", "--out", "OUT"],
         ["fh-validate", "--out", "OUT"], ["scan", "CFG"]],
         ids=["measure", "scan", "fh-validate", "scan-output.csv"])
-    def test_unwritable_output_is_a_config_error(self, args, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("parent", ["missing", "file"])
+    def test_unwritable_output_is_a_config_error(self, args, parent, tmp_path, capsys,
+                                                 monkeypatch):
         def never(*_):
             raise AssertionError("the work ran before the output check")
 
         # the check comes before the work, and creates no directory or file
         for entry in ("measure_point", "run_scan", "run_fh_validation"):
             monkeypatch.setattr(harness_module, entry, never)
-        out = tmp_path / "missing" / "out.txt"
+        # the output's directory is absent, or is a regular file
+        if parent == "file":
+            (tmp_path / "file").write_text("")
+        out = tmp_path / parent / "out.txt"
         cfg_file = tmp_path / "point.cfg"
         cfg_file.write_text(CONFIG_TEXT.replace("scan.values = 8,16,32", "scan.values = 8")
                             .replace("output.csv = out.csv", f"output.csv = {out}"))
@@ -801,7 +810,10 @@ class TestCli:
         assert main(args) == 1
         assert capsys.readouterr().err.startswith(
             f"config error: cannot write {str(out)!r}: ")
-        assert os.listdir(tmp_path) == ["point.cfg"]
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["point.cfg"] + (["file"] if parent == "file" else []))
+        if parent == "file":
+            assert (tmp_path / "file").read_text() == ""
 
     def test_output_fault_after_the_check_is_a_config_error(self, tmp_path, capsys):
         # a directory passes the check on its parent; opening it fails later
