@@ -42,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .densela import toeplitz
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .model import BiasConfig, ConstantS, Geometry, ImpurityModel, SingleSite
 from .quadrature import InitialPanels
 
@@ -75,6 +75,10 @@ class CorrelationMatrix:
         if self.mat.shape != (n, n):
             raise DomainError(
                 f"site map of length {n} does not match matrix {self.mat.shape}")
+        if n == 0:
+            raise DimensionError("the site map is empty")
+        if not 0 <= self.n_left <= n:
+            raise DimensionError(f"n_left = {self.n_left} lies outside [0, {n}]")
         diag = np.diag(self.mat)
         if np.max(np.abs(diag.imag)) > 1e-10:
             raise DomainError("diagonal entries must be real occupations")

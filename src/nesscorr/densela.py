@@ -6,7 +6,7 @@ LAPACK through ``numpy.linalg`` alone: the package needs no other
 numerical library at run time.  This module owns the input validation,
 the error taxonomy and the log-determinant phase bookkeeping.  Matrices
 are plain ``numpy.ndarray`` of complex128, validated by :func:`as_matrix`.
-It also owns the one Toeplitz fill (:func:`toeplitz`) that every
+It also owns the one Toeplitz view (:func:`toeplitz`) that every
 Toeplitz builder of the package goes through.
 """
 
@@ -47,13 +47,13 @@ def toeplitz(coeffs) -> np.ndarray:
 
     ``coeffs[k]`` holds on the lag ``k - (N - 1)`` diagonal: entry (p, q)
     is ``coeffs[p - q + N - 1]``.  Row p is ``coeffs[p:p + N]`` reversed,
-    so the matrix is one strided copy of a sliding-window view: the entries
-    keep the dtype and the bits of ``coeffs``, the result is an owned
-    C-contiguous array, and the N x N result is the only N x N allocation.
+    so the matrix is a read-only sliding-window view of ``coeffs``: no
+    N x N allocation, the entries keep the dtype and the bits of
+    ``coeffs``, and a caller that writes must ``.copy()`` it.
     """
     coeffs = np.asarray(coeffs)
     size = (len(coeffs) + 1) // 2
-    return sliding_window_view(coeffs, size)[:size, ::-1].copy()
+    return sliding_window_view(coeffs, size)[:size, ::-1]
 
 
 def herm_eigvals(m) -> np.ndarray:

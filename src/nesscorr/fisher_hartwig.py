@@ -131,14 +131,13 @@ def _arc_fourier(th, values, lags) -> np.ndarray:
 
 
 def toeplitz_from_symbol(s: PiecewiseSymbol, m: int) -> np.ndarray:
-    """Exact M x M Toeplitz matrix of the symbol (closed-form arc integrals)."""
+    """Exact M x M Toeplitz matrix of the symbol (closed-form arc integrals);
+    for a symbol with jumps, the read-only view of :func:`toeplitz`."""
     if m < 1:
         raise DomainError(f"matrix size {m} must be >= 1")
     if not s.jumps:
         return s.values[0] * np.eye(m, dtype=complex)
-    # the transpose of the reversed-diagonal gather is the same matrix, in the
-    # Fortran order that lu_logdet's LAPACK copy reads contiguously
-    return toeplitz(_arc_fourier(s.jumps, s.values, np.arange(1 - m, m))[::-1]).T
+    return toeplitz(_arc_fourier(s.jumps, s.values, np.arange(1 - m, m)))
 
 
 def symbol_linear_coeff(s: PiecewiseSymbol) -> complex:

@@ -400,8 +400,6 @@ def run_fh_validation() -> list[dict]:
             target = complex(-np.sum(beta ** 2))
             exact, asym = [], []
             for m in m_values:
-                # no name holds the matrix, so it is freed before the next
-                # size's is filled
                 exact.append(lu_logdet(fisher_hartwig.toeplitz_from_symbol(symbol, m)))
                 asym.append(fisher_hartwig.fh_logdet_asym(symbol, m))
             diffs = [e.real - a.real for e, a in zip(exact, asym)]
@@ -426,15 +424,18 @@ def run_fh_validation() -> list[dict]:
 
 
 def _parse_kv(text: str) -> dict[str, str]:
-    out = {}
+    out, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"key {key!r} is set twice, on lines {seen[key]} and {lineno}")
+        seen[key] = lineno
+        out[key] = value
     return out
 
 
@@ -457,7 +458,8 @@ CONFIG_KEYS = frozenset("""
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse a flat key=value experiment configuration; unknown keys raise.
+    """Parse a flat key=value experiment configuration; unknown keys raise,
+    and so does a key set twice, naming both lines.
 
     Every number must be finite: NaN and +-inf raise, naming their key.
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import oracles
-from nesscorr.correlation import (_fermi_kernel, _hermitian_fill, build_corr_matrix,
-                                  corr_entry_full)
+from nesscorr.correlation import (CorrelationMatrix, _fermi_kernel, _hermitian_fill,
+                                  build_corr_matrix, corr_entry_full)
 from nesscorr.densela import herm_eigvals
+from nesscorr.errors import DimensionError
 from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
 
 BIAS = BiasConfig(np.pi / 2 + 0.2, np.pi / 2)
@@ -244,7 +245,7 @@ class TestHermitianStorage:
         assert got.tobytes() == oracles.build_corr_matrix(model, BIAS, g).tobytes()
 
     def test_longrange_build_holds_no_second_matrix(self):
-        # C_A itself plus one side block's Toeplitz fill (a quarter of it)
+        # C_A itself; the Toeplitz side blocks are views written straight in
         g = Geometry(m0=0, d_l=512, ell_l=512, d_r=512, ell_r=512)
         n = g.ell_l + g.ell_r
         tracemalloc.start()
@@ -253,7 +254,7 @@ class TestHermitianStorage:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.35 * n * n * 16
+        assert peak <= 1.10 * n * n * 16
 
 
 class TestBlocks:
@@ -270,6 +271,21 @@ class TestBlocks:
         assert list(c_r.sites) == list(g.right_sites()) and c_r.n_left == 0
         assert np.array_equal(c_l.mat, c_a.mat[:g.ell_l, :g.ell_l])
         assert np.array_equal(c_r.mat, c_a.mat[g.ell_l:, g.ell_l:])
+
+    @pytest.mark.parametrize("sites, n_left, match", [
+        ([1, 2], -1, "n_left = -1 lies outside"),
+        ([1, 2], 3, "n_left = 3 lies outside"),
+        ([], 0, "site map is empty"),
+    ])
+    def test_site_map_is_checked(self, sites, n_left, match):
+        with pytest.raises(DimensionError, match=match):
+            CorrelationMatrix(sites=sites, mat=np.eye(len(sites)) / 2, n_left=n_left)
+
+    def test_blocks_of_a_side_matrix_raise(self):
+        # a side matrix has no second side: one of its blocks is empty
+        c_r = build_corr_matrix(SingleSite(eps0=0.7), BIAS, self.GEOMETRY, "A_R")
+        with pytest.raises(DimensionError, match="site map is empty"):
+            c_r.blocks()
 
     @pytest.mark.parametrize("mode", ["longrange", "full"])
     @pytest.mark.parametrize("subsystem", ["A_L", "A_R"])

@@ -63,7 +63,10 @@ class TestToeplitz:
             coeffs.imag[1::3] = -0.0
         got, want = toeplitz(coeffs), toeplitz_gather(coeffs)
         assert got.dtype == want.dtype
-        assert got.flags.c_contiguous and got.flags.owndata
+        # a read-only view of the diagonals, no N x N copy
+        assert np.shares_memory(got, coeffs)
+        with pytest.raises(ValueError):
+            got[0, 0] = 0
         assert got.tobytes() == want.tobytes()
 
     def test_holds_no_temporary_beyond_the_result(self):
@@ -75,7 +78,7 @@ class TestToeplitz:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * n * n * coeffs.itemsize
+        assert peak <= 0.05 * n * n * coeffs.itemsize
 
 
 class TestHermEigvals:
