@@ -1,4 +1,4 @@
-"""Command-line interface: measure, scan, identities, fh-validate.
+"""Command-line interface: measure, scan.
 
 Exit codes: 0 success, 1 configuration error or unwritable output, 2
 numeric failure in at least one scan row or measured value.
@@ -63,32 +63,6 @@ def _cmd_scan(args) -> int:
     return 2 if summary["failed_rows"] else 0
 
 
-def _cmd_identities(args) -> int:
-    report = harness.run_identities()
-    if args.json:
-        print(harness.to_json(report))
-    else:
-        worst = harness.identities_max_residuals(report)
-        for name in sorted(worst):
-            print(f"{name:20s} max residual {worst[name]:.3e}")
-    return 0
-
-
-def _cmd_fh_validate(args) -> int:
-    _check_writable(args.out)
-    report = harness.run_fh_validation()
-    lines = ["case,family,m,exact_re,asym_re,diff_re,lnm_fit,lnm_expected"]
-    for entry in report:
-        for m, e, a, d in zip(entry["m_values"], entry["exact_re"],
-                              entry["asym_re"], entry["diff_re"]):
-            lines.append(
-                f"{entry['case']},{entry['family']},{m},{e:.12g},{a:.12g},"
-                f"{d:.12g},{entry['lnm_coeff_fit']:.12g},"
-                f"{entry['lnm_coeff_expected']:.12g}")
-    _write("\n".join(lines) + "\n", args.out)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nesscorr",
@@ -104,15 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--out", default=None, help="override output.csv from config")
     p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("identities", help="run the identity suite")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_identities)
-
-    p = sub.add_parser("fh-validate",
-                       help="Fisher-Hartwig exact-vs-asymptotic suite, CSV")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_fh_validate)
     return parser
 
 

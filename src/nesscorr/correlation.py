@@ -73,7 +73,7 @@ class CorrelationMatrix:
         self.mat.flags.writeable = False
         n = len(self.sites)
         if self.mat.shape != (n, n):
-            raise DomainError(
+            raise DimensionError(
                 f"site map of length {n} does not match matrix {self.mat.shape}")
         if n == 0:
             raise DimensionError("the site map is empty")

@@ -32,10 +32,10 @@ gamma-summed jump-interaction terms reproduce the closed-form logarithmic
 coefficients.  The closed forms (four-point ratios of the interval edges
 with the exact-zero omission rule) live in :mod:`nesscorr.asymptotics`.
 :func:`gamma_identities` checks the gamma sums of the symbol values
-against the Q-function quadratures; the ``identities`` and
-``fh-validate`` commands run this module.  The direct gamma sums of the
-log terms and the 2x2 block symbols of C_A are independent oracles that
-only the test suite carries.
+against the Q-function quadratures; ``harness.run_identities`` and
+``harness.run_fh_validation`` run this module.  The direct gamma sums of
+the log terms and the 2x2 block symbols of C_A are independent oracles
+that only the test suite carries.
 """
 
 from __future__ import annotations
@@ -131,12 +131,15 @@ def _arc_fourier(th, values, lags) -> np.ndarray:
 
 
 def toeplitz_from_symbol(s: PiecewiseSymbol, m: int) -> np.ndarray:
-    """Exact M x M Toeplitz matrix of the symbol (closed-form arc integrals);
-    for a symbol with jumps, the read-only view of :func:`toeplitz`."""
+    """Exact M x M Toeplitz matrix of the symbol (closed-form arc integrals),
+    the read-only view of :func:`toeplitz`."""
     if m < 1:
         raise DomainError(f"matrix size {m} must be >= 1")
     if not s.jumps:
-        return s.values[0] * np.eye(m, dtype=complex)
+        # a constant symbol's only nonzero coefficient is at lag 0
+        coeffs = np.zeros(2 * m - 1, dtype=complex)
+        coeffs[m - 1] = s.values[0]
+        return toeplitz(coeffs)
     return toeplitz(_arc_fourier(s.jumps, s.values, np.arange(1 - m, m)))
 
 

@@ -360,14 +360,6 @@ def run_identities() -> list[dict]:
     return report
 
 
-def identities_max_residuals(report) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for entry in report:
-        name = entry["identity"]
-        out[name] = max(out.get(name, 0.0), entry["residual"])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Fisher-Hartwig validation suite
 

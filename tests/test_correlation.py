@@ -1,11 +1,13 @@
 """Correlation kernels against brute-force quadrature and structure checks."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
+from nesscorr.asymptotics import vn_mi_asym
 from nesscorr.correlation import (CorrelationMatrix, _fermi_kernel, _hermitian_fill,
                                   build_corr_matrix, corr_entry_full)
 from nesscorr.densela import herm_eigvals
@@ -221,6 +223,18 @@ class TestBuildMatrix:
         c2 = build_corr_matrix(model, BIAS, g2, "A")
         np.testing.assert_allclose(c1.mat, c2.mat, atol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["longrange", "full"])
+    def test_m0_and_eta_add_no_freedom(self, mode):
+        # m0 only shifts the sites (in full mode, as d_l + m0 and d_r + m0),
+        # and given the Fermi momenta eta enters only through eps0 / 2 eta
+        model, g = SingleSite(eps0=1.0), Geometry(m0=3, d_l=5, ell_l=6, d_r=7, ell_r=6)
+        g0 = Geometry(0, 8, 6, 10, 6) if mode == "full" else replace(g, m0=0)
+        want = build_corr_matrix(model, BIAS, g0, "A", mode).mat.tobytes()
+        assert build_corr_matrix(model, BIAS, g, "A", mode).mat.tobytes() == want
+        assert build_corr_matrix(SingleSite(eps0=2.0, eta=2.0), BIAS, g0, "A",
+                                 mode).mat.tobytes() == want
+        assert vn_mi_asym(model, BIAS, g) == vn_mi_asym(model, BIAS, replace(g, m0=0))
+
 
 class TestHermitianStorage:
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 150])
@@ -272,14 +286,15 @@ class TestBlocks:
         assert np.array_equal(c_l.mat, c_a.mat[:g.ell_l, :g.ell_l])
         assert np.array_equal(c_r.mat, c_a.mat[g.ell_l:, g.ell_l:])
 
-    @pytest.mark.parametrize("sites, n_left, match", [
-        ([1, 2], -1, "n_left = -1 lies outside"),
-        ([1, 2], 3, "n_left = 3 lies outside"),
-        ([], 0, "site map is empty"),
+    @pytest.mark.parametrize("sites, dim, n_left, match", [
+        ([1, 2], 2, -1, "n_left = -1 lies outside"),
+        ([1, 2], 2, 3, "n_left = 3 lies outside"),
+        ([], 0, 0, "site map is empty"),
+        ([1], 2, 0, "site map of length 1 does not match"),
     ])
-    def test_site_map_is_checked(self, sites, n_left, match):
+    def test_site_map_is_checked(self, sites, dim, n_left, match):
         with pytest.raises(DimensionError, match=match):
-            CorrelationMatrix(sites=sites, mat=np.eye(len(sites)) / 2, n_left=n_left)
+            CorrelationMatrix(sites=sites, mat=np.eye(dim) / 2, n_left=n_left)
 
     def test_blocks_of_a_side_matrix_raise(self):
         # a side matrix has no second side: one of its blocks is empty

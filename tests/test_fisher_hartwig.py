@@ -52,6 +52,16 @@ class TestPiecewiseSymbol:
         want = np.array([[0.5, 1j / np.pi], [-1j / np.pi, 0.5]])
         np.testing.assert_allclose(got, want, atol=1e-15)
 
+    @pytest.mark.parametrize("s", [
+        PiecewiseSymbol(jumps=(), values=(0.7 + 0.1j,)),
+        PiecewiseSymbol(jumps=(-1.0, 0.3, 2.0), values=(2.0, 1j, 0.5))],
+        ids=["constant", "jumps"])
+    def test_matrix_is_read_only(self, s):
+        k = toeplitz_from_symbol(s, 4)
+        assert not k.flags.writeable
+        with pytest.raises(ValueError):
+            k[0, 0] = 0
+
     def test_matrix_is_toeplitz(self):
         s = PiecewiseSymbol(jumps=(-1.0, 0.3, 2.0), values=(2.0, 1j, 0.5))
         k = toeplitz_from_symbol(s, 6)

@@ -20,7 +20,6 @@ from nesscorr.harness import (
     ExperimentConfig,
     fit_constant,
     geometry_at,
-    identities_max_residuals,
     measure_point,
     parse_config,
     rows_to_csv,
@@ -633,8 +632,10 @@ class TestConfigParsing:
 
 class TestIdentitySuite:
     def test_report_residuals_small(self):
-        report = run_identities()
-        worst = identities_max_residuals(report)
+        worst: dict[str, float] = {}
+        for entry in run_identities():
+            name = entry["identity"]
+            worst[name] = max(worst.get(name, 0.0), entry["residual"])
         for name, value in worst.items():
             assert value <= 1e-7, f"{name}: {value}"
 
@@ -747,23 +748,6 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["measures"]["MI[n=1]"]["numeric_error"] == "BranchError: injected"
 
-    def test_fh_validate_out(self, tmp_path, capsys):
-        out_file = tmp_path / "fh.csv"
-        assert main(["fh-validate", "--out", str(out_file)]) == 0
-        assert capsys.readouterr().out == ""
-        lines = out_file.read_text().splitlines()
-        assert lines[0] == ("case,family,m,exact_re,asym_re,diff_re,lnm_fit,"
-                            "lnm_expected")
-        rows = [line.split(",") for line in lines[1:]]
-        assert len(rows) == 3 * 2 * 3
-        assert {(r[0], r[1]) for r in rows} == {
-            (case, family) for case in ("containment", "disjoint", "partial")
-            for family in ("mi", "negativity")}
-        assert sorted({int(r[2]) for r in rows}) == [256, 512, 1024]
-        for r in rows:
-            assert len(r) == 8
-            assert all(np.isfinite(float(x)) for x in r[3:])
-
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("model.kind = warp_drive\n")
@@ -799,8 +783,8 @@ class TestCli:
     # the last scan takes its output path from the config's output.csv
     @pytest.mark.parametrize("args", [
         ["measure", "CFG", "--out", "OUT"], ["scan", "CFG", "--out", "OUT"],
-        ["fh-validate", "--out", "OUT"], ["scan", "CFG"]],
-        ids=["measure", "scan", "fh-validate", "scan-output.csv"])
+        ["scan", "CFG"]],
+        ids=["measure", "scan", "scan-output.csv"])
     @pytest.mark.parametrize("parent", ["missing", "file"])
     def test_unwritable_output_is_a_config_error(self, args, parent, tmp_path, capsys,
                                                  monkeypatch):
@@ -808,7 +792,7 @@ class TestCli:
             raise AssertionError("the work ran before the output check")
 
         # the check comes before the work, and creates no directory or file
-        for entry in ("measure_point", "run_scan", "run_fh_validation"):
+        for entry in ("measure_point", "run_scan"):
             monkeypatch.setattr(harness_module, entry, never)
         # the output's directory is absent, or is a regular file
         if parent == "file":
@@ -835,11 +819,6 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             f"config error: cannot write {str(tmp_path)!r}: ")
 
-    def test_identities_text_output(self, capsys):
-        assert main(["identities"]) == 0
-        out = capsys.readouterr().out
-        assert "max residual" in out
-
     def test_console_entry_point(self):
         import nesscorr
         env = dict(os.environ)
@@ -849,4 +828,13 @@ class TestCli:
             [sys.executable, "-m", "nesscorr.cli", "--help"],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
-        assert "fh-validate" in proc.stdout
+        assert "{measure,scan}" in proc.stdout
+        assert "fh-validate" not in proc.stdout
+
+    @pytest.mark.parametrize("command", ["identities", "fh-validate"])
+    def test_removed_command_is_an_invalid_choice(self, command, capsys):
+        # the suites are library calls: harness.run_identities, run_fh_validation
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
