@@ -86,8 +86,8 @@ def q_n(p: float, n: float) -> float:
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"argument p={p} outside [0, 1]")
-    if n <= 0:
-        raise DomainError(f"index n={n} must be positive")
+    if not 0 < n < np.inf:  # NaN fails too
+        raise DomainError(f"index n={n} must be positive and finite")
     c = 1.0 - p
     norm = p ** n + c ** n
 
@@ -108,8 +108,8 @@ def _check_probabilities(t: float, r: float):
 def q_tilde_n(t: float, r: float, n: float) -> float:
     """Qt_n(T) with R = 1 - T: double-jump kernel, symmetric under T <-> R."""
     _check_probabilities(t, r)
-    if n <= 0:
-        raise DomainError(f"index n={n} must be positive")
+    if not 0 < n < np.inf:  # NaN fails too
+        raise DomainError(f"index n={n} must be positive and finite")
 
     def f(x):
         # each log's rise above 1: x + t = (t + r x) + t x, x + r = (r + t x) + r x
@@ -260,8 +260,8 @@ def single_interval_entropy_asym(model: ImpurityModel, bias: BiasConfig,
     _require_bias(bias)
     if side not in ("L", "R"):
         raise DomainError(f"side must be 'L' or 'R', got {side!r}")
-    if n <= 0 or n == 1:
-        raise DomainError(f"Renyi index n={n} must be positive and != 1")
+    if not 0 < n < np.inf or n == 1:  # NaN fails too
+        raise DomainError(f"Renyi index n={n} must be positive, finite and != 1")
     kf_own = bias.kf_l if side == "L" else bias.kf_r
     kf_other = bias.kf_r if side == "L" else bias.kf_l
     ell = g.ell_l if side == "L" else g.ell_r
@@ -289,8 +289,8 @@ def renyi_mi_asym(model: ImpurityModel, bias: BiasConfig, g: Geometry,
                   n: float) -> AsymptoticPrediction:
     """Full Renyi MI asymptotics: volume law plus four-point log terms."""
     _require_bias(bias)
-    if n <= 0 or n == 1:
-        raise DomainError(f"Renyi index n={n} must be positive and != 1")
+    if not 0 < n < np.inf or n == 1:  # NaN fails too
+        raise DomainError(f"Renyi index n={n} must be positive, finite and != 1")
     ell_mirror, _, _ = mirror_overlap(g)
     q0 = (1.0 / n - n) / 12.0
 

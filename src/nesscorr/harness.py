@@ -6,6 +6,9 @@ measure by the two routes that ``MEASURES`` pairs for it: exact
 correlation-matrix spectra and the closed-form asymptotics.  Each series
 then fits its one free additive constant by least squares over a tail
 window (the upper half of the grid), and the rows are plot-ready.
+``measure_point`` evaluates its one point with the same function as a
+scan's grid point: a route that raises costs only its own measure, and a
+scan row reports the numeric route's error before the closed form's.
 
 Each grid point builds C_A once; C_L and C_R are its diagonal blocks.
 Within a scan, a side block equal bit for bit to the previous point's
@@ -15,7 +18,8 @@ depends on the offset).  The reuse changes no output bit.
 
 Configuration files are flat ``key = value`` text (``#`` comments); see
 :func:`parse_config` for the schema.  Scans run sequentially so that a
-given configuration always produces bit-identical output.
+given configuration always produces bit-identical output at a fixed
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -188,33 +192,35 @@ CONSTANT_S_FULL_CAUSE = (
     "small d_l, d_r (use larger distances or mode = longrange)")
 
 
-def _numeric_measures(cfg: ExperimentConfig, g: Geometry,
-                      cache: dict | None = None,
-                      previous: tuple | None = None) -> tuple[dict, tuple]:
-    """Spectra-backed measure results from one build of C_A per point.
+def _attempt(route: Callable, args: tuple, spectrum_cause: str = ""):
+    """``route(*args)``, or its error's text, ``spectrum_cause`` after a SpectrumError's."""
+    try:
+        return route(*args)
+    except NesscorrError as exc:
+        return _error_text(exc) + (spectrum_cause if isinstance(exc, SpectrumError) else "")
 
-    Returns the results and the point's (C_L, C_R).  A side block equal
-    to its counterpart in ``previous``, the (C_L, C_R) of an earlier
-    point, is replaced by it, so its memoised spectrum is reused.
-    A measure that raises maps to the text of its error, so the other
-    measures of the point keep their values; a failed build of C_A raises.
+
+def _evaluate(cfg: ExperimentConfig, g: Geometry, cache: dict | None = None,
+              previous: tuple | None = None) -> tuple[dict, tuple]:
+    """Both routes of every measure at one point, from one build of C_A.
+
+    Returns, per measure key, the pair (numeric ``MeasureResult``,
+    ``AsymptoticPrediction``), in which a route that raised is the text
+    of its error, so the other routes of the point keep their values; and
+    the point's (C_L, C_R).  A side block equal to its counterpart in
+    ``previous``, the (C_L, C_R) of an earlier point, is replaced by it,
+    so its memoised spectrum is reused.  A failed build of C_A raises.
     """
     c_a = build_corr_matrix(cfg.model, cfg.bias, g, "A", cfg.mode, cache)
     c_l, c_r = c_a.blocks()
     if previous is not None:  # array_equal compares shapes before entries
         c_l, c_r = (old if np.array_equal(old.mat, new.mat) else new
                     for new, old in zip((c_l, c_r), previous))
-    constant_s_full = cfg.mode == "full" and isinstance(cfg.model, ConstantS)
-    out: dict = {}
-    for measure, n in _measure_keys(cfg):
-        try:
-            out[(measure, n)] = MEASURES[measure].numeric(c_a, c_l, c_r, int(n))
-        except NesscorrError as exc:
-            text = _error_text(exc)
-            if constant_s_full and isinstance(exc, SpectrumError):
-                text += CONSTANT_S_FULL_CAUSE
-            out[(measure, n)] = text
-    return out, (c_l, c_r)
+    cause = (CONSTANT_S_FULL_CAUSE
+             if cfg.mode == "full" and isinstance(cfg.model, ConstantS) else "")
+    return {(m, n): (_attempt(MEASURES[m].numeric, (c_a, c_l, c_r, int(n)), cause),
+                     _attempt(MEASURES[m].closed_form, (cfg.model, cfg.bias, g, n)))
+            for m, n in _measure_keys(cfg)}, (c_l, c_r)
 
 
 def fit_constant(numeric, analytic_no_const, window) -> tuple[float, float]:
@@ -239,7 +245,7 @@ def run_scan(cfg: ExperimentConfig) -> list[ScanRow]:
     # window integrals, and the last full-mode C_A whose entries the next
     # point copies for the site pairs it shares; one model and bias per scan
     entry_cache: dict = {}
-    sides = None  # the last point's (C_L, C_R), for _numeric_measures to reuse
+    sides = None  # the last point's (C_L, C_R), for _evaluate to reuse
     for value in cfg.scan_values:
         g = geometry_at(cfg, value)
         diffs = asymptotics.edge_differences(g)
@@ -249,20 +255,16 @@ def run_scan(cfg: ExperimentConfig) -> list[ScanRow]:
             # (in full mode entry_cache keeps it until this build replaces it)
             sides = None
         try:
-            point, sides = _numeric_measures(cfg, g, entry_cache, sides)
+            point, sides = _evaluate(cfg, g, entry_cache, sides)
         except NesscorrError as exc:
-            point = dict.fromkeys(keys, _error_text(exc))
-        for (measure, n), measured in point.items():
+            point = dict.fromkeys(keys, (_error_text(exc),) * 2)
+        for (measure, n), (measured, pred) in point.items():
             row = ScanRow(value, measure, n, np.nan, np.nan, np.nan, np.nan, np.nan,
                           degenerate, exact_zero=0 in diffs)
             series[(measure, n)].append(row)
-            if isinstance(measured, str):
-                row.error = measured
-                continue
-            try:
-                pred = MEASURES[measure].closed_form(cfg.model, cfg.bias, g, n)
-            except NesscorrError as exc:
-                row.error = _error_text(exc)
+            errors = [x for x in (measured, pred) if isinstance(x, str)]
+            if errors:  # the numeric route's error first
+                row.error = errors[0]
                 continue
             row.numeric, row.lin_term, row.log_term = (
                 measured.value, pred.linear_part, pred.log_part)
@@ -322,7 +324,8 @@ def run_identities() -> list[dict]:
     """Execute the gamma-sum and special-function identity suite.
 
     Returns one record per identity instance with its residual; failures
-    are entries with large residuals, never exceptions.
+    are entries with large residuals, never exceptions.  ``T`` is None for
+    the identities that do not depend on it.
     """
     n_values, even_n_values = (2, 3, 4, 5), (2, 4, 6)
     t_grid = np.round(np.arange(0.1, 0.95, 0.1), 10)
@@ -349,7 +352,7 @@ def run_identities() -> list[dict]:
         add("Qt_n(1)=0", n, 1.0, abs(asymptotics.q_tilde_n(1.0, 0.0, nf)))
     for n in range(2, 9):
         gammas = fisher_hartwig.gamma_range(n)
-        add("sum_gamma^2", n, float("nan"),
+        add("sum_gamma^2", n, None,
             abs(np.sum(gammas ** 2) - (n ** 3 - n) / 12.0))
     add("q(0)=0", 1, 0.0, abs(asymptotics.q_fun(0.0, 1.0)))
     add("q(1)=0", 1, 1.0, abs(asymptotics.q_fun(1.0, 0.0)))
@@ -549,19 +552,13 @@ def parse_config(text: str) -> ExperimentConfig:
 def measure_point(cfg: ExperimentConfig) -> dict:
     """Single-configuration evaluation for the `measure` subcommand."""
     g = cfg.geometry
-    numeric, _ = _numeric_measures(cfg, g)
+    point, _ = _evaluate(cfg, g)
     result = {}
-    for (measure, n), measured in sorted(numeric.items()):
-        if isinstance(measured, str):
-            record = {"numeric_error": measured}
-        else:
-            record = {"numeric": measured.value}
-        try:
-            pred = MEASURES[measure].closed_form(cfg.model, cfg.bias, g, n)
-            record["lin_term"] = pred.linear_part
-            record["log_term"] = pred.log_part
-        except NesscorrError as exc:
-            record["analytic_error"] = _error_text(exc)
+    for (measure, n), (measured, pred) in sorted(point.items()):
+        record = ({"numeric_error": measured} if isinstance(measured, str)
+                  else {"numeric": measured.value})
+        record.update({"analytic_error": pred} if isinstance(pred, str)
+                      else {"lin_term": pred.linear_part, "log_term": pred.log_part})
         result[f"{measure}[n={n:g}]"] = record
     ell_mirror, dl_l, dl_r = mirror_overlap(g)
     return {"geometry": {"ell_mirror": ell_mirror, "delta_ell_l": dl_l,
@@ -570,4 +567,5 @@ def measure_point(cfg: ExperimentConfig) -> dict:
 
 
 def to_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """Strict JSON: a NaN or infinite value raises ``ValueError``."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)

@@ -81,9 +81,9 @@ def _occupation_spectrum(c: CorrelationMatrix) -> tuple[np.ndarray, int]:
 
 
 def renyi_entropy(c: CorrelationMatrix, n: float) -> MeasureResult:
-    """Renyi entropy S^(n) for real n > 0, n != 1."""
-    if n <= 0 or n == 1:
-        raise DomainError(f"Renyi index n={n} must be positive and != 1")
+    """Renyi entropy S^(n) for finite real n > 0, n != 1."""
+    if not 0 < n < np.inf or n == 1:  # NaN fails too
+        raise DomainError(f"Renyi index n={n} must be positive, finite and != 1")
     lam, clamped = _occupation_spectrum(c)
     value = float(np.sum(np.log(lam ** n + (1.0 - lam) ** n))) / (1.0 - n)
     return MeasureResult(value=value, clamped_count=clamped)

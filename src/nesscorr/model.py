@@ -70,13 +70,13 @@ class ConstantS(ImpurityModel):
     def __post_init__(self):
         s = np.array([[self.r_l, self.t_r], [self.t_l, self.r_r]], dtype=complex)
         residual = np.max(np.abs(s.conj().T @ s - np.eye(2)))
-        if residual > UNITARITY_TOL:
+        if not residual <= UNITARITY_TOL:  # NaN fails too
             raise DomainError(
                 f"scattering matrix not unitary: residual {residual:.3e}")
         transmission = abs(self.t_l) ** 2
-        if abs(transmission - abs(self.t_r) ** 2) > PROBABILITY_TOL:
+        if not abs(transmission - abs(self.t_r) ** 2) <= PROBABILITY_TOL:
             raise DomainError("left/right transmission probabilities differ")
-        if abs(transmission + abs(self.r_l) ** 2 - 1.0) > PROBABILITY_TOL:
+        if not abs(transmission + abs(self.r_l) ** 2 - 1.0) <= PROBABILITY_TOL:
             raise DomainError("T + R deviates from 1 beyond tolerance")
 
     @classmethod
@@ -116,8 +116,10 @@ class SingleSite(ImpurityModel):
     eta: float = 1.0
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise DomainError(f"hopping amplitude eta={self.eta} must be > 0")
+        if not 0 < self.eta < np.inf:  # NaN fails too
+            raise DomainError(f"hopping amplitude eta={self.eta} must be finite and > 0")
+        if not np.isfinite(self.eps0):
+            raise DomainError(f"on-site energy eps0={self.eps0} must be finite")
 
     def amplitudes(self, k):
         k = np.asarray(k, dtype=float)
@@ -146,12 +148,11 @@ class SingleSite(ImpurityModel):
 
 def fermi_momentum(eta: float, mu: float) -> float:
     """Fermi momentum arccos(-mu / 2 eta) in [0, pi]."""
-    if eta <= 0:
-        raise DomainError(f"hopping amplitude eta={eta} must be > 0")
+    if not 0 < eta < np.inf:  # NaN fails too
+        raise DomainError(f"hopping amplitude eta={eta} must be finite and > 0")
     x = -mu / (2.0 * eta)
-    if abs(x) > 1.0:
-        raise BandEdgeError(
-            f"|mu|={abs(mu)} exceeds the band edge 2*eta={2 * eta}")
+    if not abs(x) <= 1.0:
+        raise BandEdgeError(f"mu={mu} lies outside the band |mu| <= 2*eta={2 * eta}")
     return float(np.arccos(x))
 
 

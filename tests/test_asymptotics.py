@@ -1,5 +1,7 @@
 """Special functions and closed-form scaling predictions."""
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from nesscorr.asymptotics import (
 from nesscorr.correlation import build_corr_matrix
 from nesscorr.errors import BiasError, DomainError, ScopeError
 from nesscorr.measures import renyi_entropy
-from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
+from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite, fermi_momentum
 from oracles import q_n_mp, q_n_singular_form, q_tilde_n_mp, q_tilde_n_singular_form
 
 BIAS = BiasConfig(np.pi / 2 + 0.2, np.pi / 2)
@@ -404,3 +406,35 @@ class TestNegativityAsymptotics:
         with pytest.raises(BiasError):
             negativity_asym_symmetric(SingleSite(eps0=1.0), NO_BIAS,
                                       Geometry(0, 0, 16, 0, 16), 2)
+
+
+_GEOMETRY = Geometry(0, 2, 8, 2, 8)
+# each entry point with one parameter set to x, and the name its error gives;
+# ConstantS and the chemical potential take no inf here, which T + R = 1
+# and the band edge already reject
+NON_FINITE_CASES = [
+    ("SingleSite(eps0)", lambda x: SingleSite(x), "eps0=", (np.nan, np.inf)),
+    ("SingleSite(eta)", lambda x: SingleSite(1.0, eta=x), "eta=", (np.nan, np.inf)),
+    ("ConstantS", lambda x: ConstantS(x, x, x, x), "scattering matrix", (np.nan,)),
+    ("fermi_momentum(eta)", lambda x: fermi_momentum(x, 0.5), "eta=", (np.nan, np.inf)),
+    ("fermi_momentum(mu)", lambda x: fermi_momentum(1.0, x), "mu=", (np.nan,)),
+    ("renyi_entropy",
+     lambda x: renyi_entropy(build_corr_matrix(SingleSite(1.0), BIAS, _GEOMETRY, "A"), x),
+     "n=", (np.nan, np.inf)),
+    ("q_n", lambda x: q_n(0.5, x), "n=", (np.nan, np.inf)),
+    ("q_tilde_n", lambda x: q_tilde_n(0.5, 0.5, x), "n=", (np.nan, np.inf)),
+    ("single_interval_entropy_asym",
+     lambda x: single_interval_entropy_asym(SingleSite(1.0), BIAS, _GEOMETRY, "L", x),
+     "n=", (np.nan, np.inf)),
+    ("renyi_mi_asym", lambda x: renyi_mi_asym(SingleSite(1.0), BIAS, _GEOMETRY, x),
+     "n=", (np.nan, np.inf)),
+]
+
+
+@pytest.mark.parametrize("call, named, value", [
+    pytest.param(call, named, value, id=f"{label}-{value}")
+    for label, call, named, values in NON_FINITE_CASES for value in values])
+def test_non_finite_parameter_is_a_domain_error_naming_it(call, named, value):
+    # at once, not after a quadrature budget or as a NaN result
+    with pytest.raises(DomainError, match=re.escape(named)):
+        call(value)

@@ -94,11 +94,12 @@ def _assert_rows_match_fresh_points(cfg, rows):
     for r in rows:
         if r.scan_value not in fresh:
             g = geometry_at(cfg, r.scan_value)
-            fresh[r.scan_value], _ = harness_module._numeric_measures(cfg, g)
-        want = fresh[r.scan_value][(r.measure, r.n)]
+            fresh[r.scan_value], _ = harness_module._evaluate(cfg, g)
+        measured, pred = fresh[r.scan_value][(r.measure, r.n)]
         assert r.error is None
-        assert (r.numeric, r.clamped_count, r.imag_residual) == (
-            want.value, want.clamped_count, want.imag_residual)
+        assert (r.numeric, r.clamped_count, r.imag_residual, r.lin_term, r.log_term) == (
+            measured.value, measured.clamped_count, measured.imag_residual,
+            pred.linear_part, pred.log_part)
 
 
 class TestFitConstant:
@@ -645,6 +646,16 @@ class TestIdentitySuite:
         assert {"Q_n(1)=0", "Q_n(0)", "Qt_n(0)=0", "sum_gamma^2",
                 "q(1/2)<0"} <= names
 
+    def test_report_is_strict_json(self):
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        report = json.loads(harness_module.to_json(run_identities()), parse_constant=reject)
+        # sum_gamma^2 depends on n alone
+        assert [e["T"] for e in report if e["identity"] == "sum_gamma^2"] == [None] * 7
+        with pytest.raises(ValueError):
+            harness_module.to_json({"value": float("nan")})
+
 
 class TestFhValidation:
     # Re ln det of the M = 256, 512, 1024 Toeplitz matrices, per window case
@@ -701,6 +712,20 @@ class TestMeasurePoint:
         assert out["E[n=1]"]["numeric_error"] == "BranchError: injected"
         assert "numeric" not in out["E[n=1]"]
         assert np.isfinite(out["MI[n=1]"]["numeric"])
+
+    def test_gives_the_scan_row_of_its_point_bit_for_bit(self):
+        with open(os.path.join(ROOT, "configs", "beamsplitter_point.cfg")) as fh:
+            cfg = parse_config(fh.read())
+        # the template geometry is also the file's one grid point
+        assert [geometry_at(cfg, v) for v in cfg.scan_values] == [cfg.geometry]
+        out = measure_point(cfg)["measures"]
+        rows = run_scan(cfg)
+        assert len(rows) == len(out) == 6
+        for r in rows:
+            assert r.error is None
+            want = out[f"{r.measure}[n={r.n:g}]"]
+            assert repr(want) == repr(
+                {"numeric": r.numeric, "lin_term": r.lin_term, "log_term": r.log_term})
 
     def test_asymmetric_point_reports_numeric_and_analytic_error(self):
         cfg = small_config(geometry=Geometry(0, 2, 8, 5, 12), measures=("E",))
