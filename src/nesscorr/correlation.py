@@ -277,23 +277,21 @@ def _full_sea_class(model, kf, left, n0, groups, own, out):
             out[i] = panels.integrate(f, sea.entry(form, shared, own[i]))
 
 
-def corr_entry_full(model: ImpurityModel, bias: BiasConfig, j, m,
-                    m0: int = 0):
+def corr_entry_full(model: ImpurityModel, bias: BiasConfig, j, m):
     """Finite-distance entries <c_j^dag c_m> by direct quadrature.
 
     Integrates the complete scattering-state products over both occupied
     seas, keeping the reflection cross terms the long-range kernel drops,
     and adds the bound state below the band when there is one.
-    ``j`` and ``m`` are sites or arrays of sites (broadcast together); the
-    result has their shape.
+    ``j`` and ``m`` are sites or arrays of sites (broadcast together), none
+    of them the impurity at site 0; the result has their shape.
     """
     j, m = np.broadcast_arrays(np.asarray(j, dtype=int), np.asarray(m, dtype=int))
-    inside = (np.abs(j) <= m0) | (np.abs(m) <= m0)
+    inside = (j == 0) | (m == 0)
     if inside.any():
         p = np.flatnonzero(inside)[0]
         raise DomainError(
-            f"sites ({j.flat[p]}, {m.flat[p]}) must lie outside the impurity "
-            f"region |m| <= {m0}")
+            f"sites ({j.flat[p]}, {m.flat[p]}): site 0 is the impurity")
     jf, mf = j.ravel(), m.ravel()
     values = (_full_sea(model, bias.kf_l, True, jf, mf)
               + _full_sea(model, bias.kf_r, False, jf, mf))
@@ -368,7 +366,7 @@ def build_corr_matrix(model: ImpurityModel, bias: BiasConfig, g: Geometry,
         row, col = np.triu_indices(n)
         fresh = ~(held[row] & held[col])
         row, col = row[fresh], col[fresh]
-        mat[row, col] = corr_entry_full(model, bias, sites[row], sites[col], g.m0)
+        mat[row, col] = corr_entry_full(model, bias, sites[row], sites[col])
     else:
         cache = {} if cache is None else cache
         # sites within each block are consecutive integers, so the site

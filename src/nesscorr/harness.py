@@ -461,14 +461,16 @@ def parse_config(text: str) -> ExperimentConfig:
     Keys (defaults in brackets):
       model.kind            single_site | constant_s; a model key that the
                             kind does not read is rejected
-      model.eps0, model.eta single_site: on-site energy; the hopping (> 0) [1]
+      model.eps0            single_site: on-site energy in units of the hopping
+      model.eta             single_site: divides model.eps0 (> 0) [1]
       model.transmission    constant_s: beamsplitter transmission
       bias.kf_l, bias.kf_r  Fermi momenta in [0, pi], kept as given
-      geometry.m0, geometry.d_l, geometry.ell_l, geometry.d_r, geometry.ell_r
+      geometry.d_l, geometry.ell_l, geometry.d_r, geometry.ell_r
                             a scan places d_l from geometry.d_r and the offset,
                             and a length scan takes ell_l, ell_r from
                             scan.values; those template values serve measure
                             only
+      geometry.m0           adds to geometry.d_l and geometry.d_r (>= 0) [0]
       scan.variable         length | offset
       scan.values           comma list, or start:stop[:step]
       scan.ell_r_ratio      length scans: ell_r = ratio * ell [1]
@@ -522,7 +524,10 @@ def parse_config(text: str) -> ExperimentConfig:
                           f"model.kind = {kind} reads only {', '.join(reads)}")
     if kind == "single_site":
         eps0, eta = value("model.eps0", float), value("model.eta", float, "1")
-        model: ImpurityModel = checked(("model.eta",), lambda: SingleSite(eps0, eta))
+        if eta <= 0:
+            raise ConfigError(f"model.eta = {kv['model.eta']}: the hopping must be > 0")
+        model: ImpurityModel = checked(("model.eps0", "model.eta"),
+                                       lambda: SingleSite(eps0 / eta))
     else:
         transmission = value("model.transmission", float)
         model = checked(("model.transmission",),
@@ -531,11 +536,14 @@ def parse_config(text: str) -> ExperimentConfig:
     kf_l, kf_r = value("bias.kf_l", float), value("bias.kf_r", float)
     bias = checked(("bias.kf_l", "bias.kf_r"), lambda: BiasConfig(kf_l, kf_r))
 
+    m0 = value("geometry.m0", int, "0")
+    if m0 < 0:
+        raise ConfigError(f"geometry.m0 = {kv['geometry.m0']}: the value must be >= 0")
     sizes = {name: value(f"geometry.{name}", int, default)
-             for name, default in (("m0", "0"), ("d_l", "0"), ("ell_l", "1"),
-                                   ("d_r", "0"), ("ell_r", "1"))}
-    geometry = checked([f"geometry.{name}" for name in sizes],
-                       lambda: Geometry(**sizes))
+             for name, default in (("d_l", "0"), ("ell_l", "1"), ("d_r", "0"), ("ell_r", "1"))}
+    keys = ["geometry.m0"] + [f"geometry.{name}" for name in sizes]
+    given = checked(keys, lambda: Geometry(**sizes))
+    geometry = checked(keys, lambda: replace(given, d_l=given.d_l + m0, d_r=given.d_r + m0))
 
     return ExperimentConfig(
         model=model, bias=bias, geometry=geometry,

@@ -1,7 +1,7 @@
 """Impurity models, bias configuration and subsystem geometry.
 
-The chain is an infinite tight-binding lattice with hopping ``eta`` and a
-current-conserving impurity occupying the sites ``|m| <= m0``.  Extended
+The chain is an infinite tight-binding lattice whose hopping sets the energy
+unit, with a current-conserving impurity at site 0.  Extended
 single-particle eigenstates come in two families labeled by the incoming
 direction, with reflection/transmission amplitudes collected in a 2x2
 unitary scattering matrix
@@ -16,12 +16,11 @@ which are all that the closed forms read.
 
 Two reservoirs fill left-moving and right-moving states up to the Fermi
 momenta ``kf_l`` and ``kf_r``, which is all that :class:`BiasConfig`
-holds; a chemical potential ``mu`` converts to one through
-:func:`fermi_momentum`, ``k_F = arccos(-mu / 2 eta)``.
+holds; a chemical potential converts to one through :func:`fermi_momentum`.
 
-Two subsystems are considered: an interval of ``ell_l`` sites at distance
-``d_l`` to the left of the impurity, and one of ``ell_r`` sites at
-distance ``d_r`` to the right.  The mirror-image overlap
+The impurity sits at site 0 and has no half-width.  Two subsystems are
+considered: the sites -(d_l + b), b = 1..ell_l, to its left and the sites
+d_r + a, a = 1..ell_r, to its right.  The mirror-image overlap
 
     ell_mirror = max(min(d_l + ell_l, d_r + ell_r) - max(d_l, d_r), 0)
 
@@ -99,50 +98,47 @@ class ConstantS(ImpurityModel):
 
 @dataclass(frozen=True)
 class SingleSite(ImpurityModel):
-    """Single-site impurity: on-site energy eps0 at m = 0.
+    """Single-site impurity: on-site energy eps0 at m = 0, in hopping units.
 
     The transmission probability is
 
-        T(k) = sin^2 k / (sin^2 k + (eps0 / 2 eta)^2).
+        T(k) = sin^2 k / (sin^2 k + (eps0 / 2)^2).
 
     Only T, R and the combination t* r enter any measured quantity; the
     individual phases below are one fixed unitary-consistent convention,
     recorded for reproducibility:
 
-        t = sin k / (sin k + i eps0 / 2 eta),    r = t - 1.
+        t = sin k / (sin k + i eps0 / 2),    r = t - 1.
     """
 
     eps0: float
-    eta: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.eta < np.inf:  # NaN fails too
-            raise DomainError(f"hopping amplitude eta={self.eta} must be finite and > 0")
         if not np.isfinite(self.eps0):
             raise DomainError(f"on-site energy eps0={self.eps0} must be finite")
 
     def amplitudes(self, k):
         k = np.asarray(k, dtype=float)
         s = np.sin(k)
-        a = self.eps0 / (2.0 * self.eta)
+        a = self.eps0 / 2.0
         t = s / (s + 1j * a)
         r = t - 1.0
         return r, t, r, t
 
     def reflection(self, k):
-        """R(k) = a^2 / (sin^2 k + a^2), a = eps0 / 2 eta: exactly 0 at eps0 = 0."""
+        """R(k) = a^2 / (sin^2 k + a^2), a = eps0 / 2: exactly 0 at eps0 = 0."""
         s = np.sin(np.asarray(k, dtype=float))
-        a = self.eps0 / (2.0 * self.eta)
+        a = self.eps0 / 2.0
         return a * a / (s * s + a * a)
 
     def bound_state(self, j) -> np.ndarray:
         """Amplitudes psi_j = sqrt((1 - z^2) / (1 + z^2)) z^|j| of the bound state.
 
         Defined for eps0 < 0 only, where it lies below the band, at energy
-        -sqrt(eps0^2 + 4 eta^2), with z = 2 eta / (sqrt(eps0^2 + 4 eta^2) - eps0)
-        in (0, 1); every sign is positive.
+        -sqrt(eps0^2 + 4), with z = 2 / (sqrt(eps0^2 + 4) - eps0) in (0, 1);
+        every sign is positive.
         """
-        z = 2.0 * self.eta / (np.hypot(self.eps0, 2.0 * self.eta) - self.eps0)
+        z = 2.0 / (np.hypot(self.eps0, 2.0) - self.eps0)
         return np.sqrt((1.0 - z * z) / (1.0 + z * z)) * z ** np.abs(j)
 
 
@@ -183,23 +179,21 @@ class BiasConfig:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Impurity half-width and the two subsystem intervals (in sites)."""
+    """The two subsystem intervals, in sites from the impurity at site 0."""
 
-    m0: int
     d_l: int
     ell_l: int
     d_r: int
     ell_r: int
 
     def __post_init__(self):
-        for name in ("m0", "d_l", "ell_l", "d_r", "ell_r"):
+        for name in ("d_l", "ell_l", "d_r", "ell_r"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 0:
                 raise DomainError(f"{name}={value!r} must be a nonnegative integer")
         if self.ell_l < 1 or self.ell_r < 1:
             raise DomainError("subsystem lengths must be at least 1 site")
-        reach = int(self.m0) + max(int(self.d_l) + int(self.ell_l),
-                                   int(self.d_r) + int(self.ell_r))
+        reach = max(int(self.d_l) + int(self.ell_l), int(self.d_r) + int(self.ell_r))
         if reach > np.iinfo(np.int64).max:
             raise DomainError(f"the outermost site, {reach} from the impurity, "
                               "does not fit a 64-bit integer")
@@ -207,12 +201,12 @@ class Geometry:
     def left_sites(self) -> np.ndarray:
         """A_L site indices, ascending (leftmost first)."""
         b = np.arange(self.ell_l, 0, -1)
-        return -(self.m0 + self.d_l + b)
+        return -(self.d_l + b)
 
     def right_sites(self) -> np.ndarray:
         """A_R site indices, ascending."""
         a = np.arange(1, self.ell_r + 1)
-        return self.m0 + self.d_r + a
+        return self.d_r + a
 
 
 def mirror_overlap(g: Geometry) -> tuple[int, int, int]:

@@ -316,11 +316,10 @@ class WindowIntegrals:
         return value
 
 
-def corr_entry_full(model, bias, j: int, m: int, m0: int = 0) -> complex:
+def corr_entry_full(model, bias, j: int, m: int) -> complex:
     """Finite-distance entry <c_j^dag c_m>: one quadrature per sea."""
-    if abs(j) <= m0 or abs(m) <= m0:
-        raise DomainError(
-            f"sites ({j}, {m}) must lie outside the impurity region |m| <= {m0}")
+    if j == 0 or m == 0:
+        raise DomainError(f"sites ({j}, {m}): site 0 is the impurity")
     kf_l, kf_r = bias.kf_l, bias.kf_r
     freq = max(abs(j - m), abs(j + m), 1)
 
@@ -398,7 +397,7 @@ def build_corr_matrix(model, bias, g, mode: str = "longrange",
     if mode == "full":
         for p in range(n):
             for q in range(p, n):
-                mat[p, q] = corr_entry_full(model, bias, sites[p], sites[q], g.m0)
+                mat[p, q] = corr_entry_full(model, bias, sites[p], sites[q])
     else:
         win = WindowIntegrals(model, bias, cache)
         mat[:nl, :nl] = toeplitz_gather(

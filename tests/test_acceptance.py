@@ -99,7 +99,7 @@ def test_criterion_2_route_equivalence():
     started = time.time()
     worst = 0.0
     for model in (ConstantS.beamsplitter(0.5), SingleSite(eps0=1.0)):
-        g = Geometry(m0=0, d_l=9, ell_l=70, d_r=4, ell_r=90)  # dim 160
+        g = Geometry(d_l=9, ell_l=70, d_r=4, ell_r=90)  # dim 160
         c_a = build_corr_matrix(model, BIAS, g, "A")
         for n in (2, 4):
             a = renyi_negativity_eig(c_a, c_a.n_left, n).value
@@ -123,7 +123,7 @@ def test_criterion_3_vanishing_theorems():
         # modest lengths keep the occupation spectrum away from the
         # square-root branch points, where double precision would
         # otherwise cap the attainable cancellation near sqrt(eps)
-        g = Geometry(m0=0, d_l=5, ell_l=6, d_r=3, ell_r=7)
+        g = Geometry(d_l=5, ell_l=6, d_r=3, ell_r=7)
         c_l = build_corr_matrix(model, bias, g, "A_L")
         c_r = build_corr_matrix(model, bias, g, "A_R")
         c_a = build_corr_matrix(model, bias, g, "A")
@@ -167,7 +167,7 @@ def _split_oscillation(ells, values, omega):
 def test_criterion_4_symmetric_scaling_reproduction():
     """Symmetric-configuration scaling of MI, MI_2, E, E_4.
 
-    Window: the dyadic lengths {128, 256, 512}, for eps0/eta in
+    Window: the dyadic lengths {128, 256, 512}, for eps0 in
     {0.5, 1.0, 2.0}.  The closed forms predict a volume term, a logarithm
     and an O(1) constant; they say nothing about the oscillating
     finite-size corrections, which for free-fermion Renyi quantities decay
@@ -193,7 +193,7 @@ def test_criterion_4_symmetric_scaling_reproduction():
     window = (128, 256, 512)
     rows = []
     for eps in (0.5, 1.0, 2.0):
-        model = SingleSite(eps0=eps, eta=1.0)
+        model = SingleSite(eps0=eps)
         cache = {}
         smooth = {m: {} for m in ("MI", "MI2", "E", "E4")}
         amplitude = {m: {} for m in smooth}
@@ -201,7 +201,7 @@ def test_criterion_4_symmetric_scaling_reproduction():
             ells = range(ell0 - OSC_HALF_BLOCK, ell0 + OSC_HALF_BLOCK + 1)
             deviation = {m: [] for m in smooth}
             for ell in ells:
-                g = Geometry(m0=0, d_l=0, ell_l=ell, d_r=0, ell_r=ell)
+                g = Geometry(d_l=0, ell_l=ell, d_r=0, ell_r=ell)
                 numeric = _measure_set(model, BIAS, g, cache,
                                        ("MI", "MI2", "E", "E4"))
                 deviation["MI"].append(numeric["MI"] - vn_mi_asym(
@@ -237,14 +237,14 @@ def test_criterion_4_symmetric_scaling_reproduction():
 
 def test_criterion_5_offset_scan_reproduction():
     started = time.time()
-    model = SingleSite(eps0=1.0, eta=1.0)
+    model = SingleSite(eps0=1.0)
     cache = {}
     base_d = 400
     wins = {"MI": 0, "MI2": 0}
     total = 0
     numeric_mi = {}
     for offset in range(-350, 151, 10):
-        g = Geometry(m0=0, d_l=base_d + offset, ell_l=100, d_r=base_d,
+        g = Geometry(d_l=base_d + offset, ell_l=100, d_r=base_d,
                      ell_r=200)
         c_a = build_corr_matrix(model, BIAS, g, "A", cache=cache)
         c_l, c_r = c_a.blocks()
@@ -280,11 +280,11 @@ def test_criterion_6_equal_length_entropy_flatness():
     worst = 0.0
     details = []
     for eps in (0.0, 1.0, 2.0):
-        model = SingleSite(eps0=eps, eta=1.0)
+        model = SingleSite(eps0=eps)
         cache = {}
         spectra = {}
         for ell in (64, 128, 256, 512):
-            g = Geometry(m0=0, d_l=0, ell_l=ell, d_r=0, ell_r=ell)
+            g = Geometry(d_l=0, ell_l=ell, d_r=0, ell_r=ell)
             spectra[ell] = build_corr_matrix(model, BIAS, g, "A", cache=cache)
         for n in (2, 3):
             xs = [np.log(ell) for ell in spectra]
@@ -322,12 +322,12 @@ def test_criterion_7_fisher_hartwig_engine():
 
 def test_criterion_8_deviation_envelope_decay():
     started = time.time()
-    model = SingleSite(eps0=1.0, eta=1.0)
+    model = SingleSite(eps0=1.0)
     cache = {}
     base_d = 400
     deviations = {}
     for ell in (32, 48, 64, 96, 128, 192, 256):
-        g = Geometry(m0=0, d_l=base_d + ell // 2, ell_l=ell, d_r=base_d,
+        g = Geometry(d_l=base_d + ell // 2, ell_l=ell, d_r=base_d,
                      ell_r=2 * ell)
         c_a = build_corr_matrix(model, BIAS, g, "A", cache=cache)
         c_l, c_r = c_a.blocks()

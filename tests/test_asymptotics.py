@@ -113,7 +113,7 @@ class TestSpecialFunctions:
 
 class TestVolumeCoefficients:
     # each closed form's per-site volume coefficient, on a symmetric geometry
-    G = Geometry(m0=0, d_l=4, ell_l=16, d_r=4, ell_r=16)
+    G = Geometry(d_l=4, ell_l=16, d_r=4, ell_r=16)
 
     def test_mi_vn_trivial_impurity(self):
         assert vn_mi_asym(ConstantS.beamsplitter(1.0), BIAS,
@@ -194,7 +194,7 @@ class TestPredictionStructure:
 
     def test_edge_differences_and_four_point_ratios(self):
         # sorted edges (2, 7, 9, 13): numerators 9 - 2 = 7 and 13 - 7 = 6
-        g = Geometry(m0=0, d_l=9, ell_l=4, d_r=2, ell_r=5)
+        g = Geometry(d_l=9, ell_l=4, d_r=2, ell_r=5)
         assert edge_differences(g) == (6, 7, -2, 11)
         ratio1, ratio2 = _four_point_ratios(g)
         assert ratio1 == pytest.approx(7 * 6 / (6 * 7))
@@ -204,7 +204,7 @@ class TestPredictionStructure:
 class TestSingleIntervalEntropy:
     def test_trivial_impurity_log_coefficient(self):
         model = ConstantS.beamsplitter(1.0)
-        g = Geometry(m0=0, d_l=9, ell_l=50, d_r=9, ell_r=50)
+        g = Geometry(d_l=9, ell_l=50, d_r=9, ell_r=50)
         for n in (2, 3):
             p = single_interval_entropy_asym(model, BIAS, g, "L", n)
             # Q_n(1) = 0 and Q_n(0)/(1-n) = (1+n)/(12n): doubled base coefficient
@@ -213,7 +213,7 @@ class TestSingleIntervalEntropy:
 
     def test_side_swap_symmetry_for_constant_model(self):
         model = ConstantS.beamsplitter(0.4)
-        g = Geometry(m0=0, d_l=3, ell_l=30, d_r=5, ell_r=30)
+        g = Geometry(d_l=3, ell_l=30, d_r=5, ell_r=30)
         left = single_interval_entropy_asym(model, BIAS, g, "L", 2)
         right = single_interval_entropy_asym(model, BIAS, g, "R", 2)
         assert left.total() == pytest.approx(right.total(), rel=1e-12)
@@ -221,7 +221,7 @@ class TestSingleIntervalEntropy:
     def test_zero_bias_refused(self):
         with pytest.raises(BiasError):
             single_interval_entropy_asym(SingleSite(eps0=1.0), NO_BIAS,
-                                         Geometry(0, 2, 8, 2, 8), "L", 2)
+                                         Geometry(2, 8, 2, 8), "L", 2)
 
     def test_log_coefficient_fit_against_numerics(self):
         # two-parameter (constant + log coefficient) fit of the numeric
@@ -231,7 +231,7 @@ class TestSingleIntervalEntropy:
         cache = {}
         xs, ys = [], []
         for ell in (64, 128, 256, 512):
-            g = Geometry(m0=0, d_l=0, ell_l=ell, d_r=0, ell_r=ell)
+            g = Geometry(d_l=0, ell_l=ell, d_r=0, ell_r=ell)
             c_l, c_r = build_corr_matrix(model, BIAS, g, "A", cache=cache).blocks()
             total = renyi_entropy(c_l, n).value + renyi_entropy(c_r, n).value
             p_l = single_interval_entropy_asym(model, BIAS, g, "L", n)
@@ -240,9 +240,9 @@ class TestSingleIntervalEntropy:
             ys.append(total - p_l.linear_part - p_r.linear_part)
         slope = np.polyfit(xs, ys, 1)[0]
         want = (single_interval_entropy_asym(
-            model, BIAS, Geometry(0, 0, 64, 0, 64), "L", n).log_terms[0][0]
+            model, BIAS, Geometry(0, 64, 0, 64), "L", n).log_terms[0][0]
             + single_interval_entropy_asym(
-            model, BIAS, Geometry(0, 0, 64, 0, 64), "R", n).log_terms[0][0])
+            model, BIAS, Geometry(0, 64, 0, 64), "R", n).log_terms[0][0])
         assert slope == pytest.approx(want, rel=0.03)
 
 
@@ -250,7 +250,7 @@ class TestMiAsymptotics:
     def test_touching_case_reduces_to_q_tilde_form(self):
         model = ConstantS.beamsplitter(0.35)
         ell_l, ell_r, d_r = 40, 30, 10
-        g = Geometry(m0=0, d_l=d_r + ell_r, ell_l=ell_l, d_r=d_r, ell_r=ell_r)
+        g = Geometry(d_l=d_r + ell_r, ell_l=ell_l, d_r=d_r, ell_r=ell_r)
         for n in (2, 3):
             p = renyi_mi_asym(model, BIAS, g, n)
             want = (q_tilde_n(0.35, 0.65, float(n)) / (1 - n)) * np.log(
@@ -262,7 +262,7 @@ class TestMiAsymptotics:
         t = 0.45
         model = ConstantS.beamsplitter(t)
         ell = 60
-        g = Geometry(m0=0, d_l=7, ell_l=ell, d_r=7, ell_r=ell)
+        g = Geometry(d_l=7, ell_l=ell, d_r=7, ell_r=ell)
         for n in (2, 4):
             p = renyi_mi_asym(model, BIAS, g, n)
             coeff = (-(1 + n) / (6 * n)
@@ -271,7 +271,7 @@ class TestMiAsymptotics:
 
     def test_trivial_impurity_prediction_vanishes(self):
         model = ConstantS.beamsplitter(1.0)
-        g = Geometry(m0=0, d_l=4, ell_l=12, d_r=9, ell_r=17)
+        g = Geometry(d_l=4, ell_l=12, d_r=9, ell_r=17)
         p = renyi_mi_asym(model, BIAS, g, 2)
         assert p.total() == pytest.approx(0.0, abs=1e-9)
         assert vn_mi_asym(model, BIAS, g).total() == pytest.approx(0.0,
@@ -281,20 +281,20 @@ class TestMiAsymptotics:
         # ell_mirror = 0 with separated mirror images: the ratio of the
         # first logarithm is exactly one
         model = ConstantS.beamsplitter(0.5)
-        g = Geometry(m0=0, d_l=40, ell_l=10, d_r=5, ell_r=12)
+        g = Geometry(d_l=40, ell_l=10, d_r=5, ell_r=12)
         p = vn_mi_asym(model, BIAS, g)
         assert p.log_terms[0][1] == pytest.approx(1.0)
         assert p.log_terms[2][1] == pytest.approx(1.0)
 
     def test_maximal_overlap_second_term_drops(self):
         model = ConstantS.beamsplitter(0.5)
-        g = Geometry(m0=0, d_l=10, ell_l=8, d_r=4, ell_r=30)
+        g = Geometry(d_l=10, ell_l=8, d_r=4, ell_r=30)
         p = vn_mi_asym(model, BIAS, g)
         assert p.log_terms[1][1] == pytest.approx(1.0)
 
     def test_renyi_limit_matches_vn(self):
         model = SingleSite(eps0=1.0)
-        g = Geometry(m0=0, d_l=13, ell_l=21, d_r=6, ell_r=34)
+        g = Geometry(d_l=13, ell_l=21, d_r=6, ell_r=34)
         h = 1e-3
         lo = renyi_mi_asym(model, BIAS, g, 1 - h)
         hi = renyi_mi_asym(model, BIAS, g, 1 + h)
@@ -306,8 +306,8 @@ class TestMiAsymptotics:
 
     def test_distance_shift_invariance(self):
         model = SingleSite(eps0=0.8)
-        g1 = Geometry(m0=0, d_l=11, ell_l=9, d_r=3, ell_r=20)
-        g2 = Geometry(m0=0, d_l=61, ell_l=9, d_r=53, ell_r=20)
+        g1 = Geometry(d_l=11, ell_l=9, d_r=3, ell_r=20)
+        g2 = Geometry(d_l=61, ell_l=9, d_r=53, ell_r=20)
         for build in (lambda g: renyi_mi_asym(model, BIAS, g, 2),
                       lambda g: vn_mi_asym(model, BIAS, g)):
             assert build(g1).total() == pytest.approx(build(g2).total(),
@@ -316,23 +316,23 @@ class TestMiAsymptotics:
     def test_degenerate_offsets_stay_finite(self):
         model = ConstantS.beamsplitter(0.5)
         for shift in (-2, -1, 0, 1, 2):
-            g = Geometry(m0=0, d_l=25 + shift, ell_l=10, d_r=15, ell_r=10)
+            g = Geometry(d_l=25 + shift, ell_l=10, d_r=15, ell_r=10)
             value = vn_mi_asym(model, BIAS, g).total()
             assert np.isfinite(value)
 
     def test_zero_bias_refused(self):
         with pytest.raises(BiasError):
             renyi_mi_asym(SingleSite(eps0=1.0), NO_BIAS,
-                          Geometry(0, 2, 8, 2, 8), 2)
+                          Geometry(2, 8, 2, 8), 2)
         with pytest.raises(BiasError):
-            vn_mi_asym(SingleSite(eps0=1.0), NO_BIAS, Geometry(0, 2, 8, 2, 8))
+            vn_mi_asym(SingleSite(eps0=1.0), NO_BIAS, Geometry(2, 8, 2, 8))
 
     def test_fig3_profile_peaks_on_containment_plateau(self):
         model = SingleSite(eps0=1.0)
         values = {}
         for offset in range(-150, 151, 25):
             d_r = 200
-            g = Geometry(m0=0, d_l=d_r + offset, ell_l=100, d_r=d_r, ell_r=200)
+            g = Geometry(d_l=d_r + offset, ell_l=100, d_r=d_r, ell_r=200)
             values[offset] = vn_mi_asym(model, BIAS, g).total()
         best = max(values, key=values.get)
         assert 0 <= best <= 100
@@ -347,7 +347,7 @@ class TestReflectionFromModel:
     """
 
     MODEL = SingleSite(eps0=1e-6)
-    G = Geometry(m0=0, d_l=100, ell_l=16, d_r=100, ell_r=16)
+    G = Geometry(d_l=100, ell_l=16, d_r=100, ell_r=16)
 
     def exact(self, kf):
         with mpmath.workdps(40):
@@ -375,7 +375,7 @@ class TestNegativityAsymptotics:
     def test_symmetric_log_coefficient_trivial_impurity(self):
         model = ConstantS.beamsplitter(1.0)
         for n in (2, 4):
-            p = negativity_asym_symmetric(model, BIAS, Geometry(0, 0, 64, 0, 64), n)
+            p = negativity_asym_symmetric(model, BIAS, Geometry(0, 64, 0, 64), n)
             want = (-n / 4 + 2 * q_n(1.0, n / 2) + 2 * q_n(0.0, n / 2))
             assert p.log_terms[0][0] == pytest.approx(want, abs=1e-10)
             # the separable identity fixes the same coefficient
@@ -383,38 +383,37 @@ class TestNegativityAsymptotics:
 
     def test_vn_flavor_trivial_impurity_vanishes(self):
         p = negativity_asym_symmetric(ConstantS.beamsplitter(1.0), BIAS,
-                                      Geometry(0, 0, 64, 0, 64))
+                                      Geometry(0, 64, 0, 64))
         assert p.total() == pytest.approx(0.0, abs=1e-9)
 
     def test_vn_flavor_linear_coefficient(self):
         p = negativity_asym_symmetric(ConstantS.beamsplitter(0.5), BIAS,
-                                      Geometry(0, 0, 64, 0, 64))
+                                      Geometry(0, 64, 0, 64))
         assert p.linear_coeff == pytest.approx(0.2 / np.pi * 0.5 * np.log(2),
                                                abs=1e-10)
 
     def test_geometry_scope_check(self):
-        g = Geometry(m0=0, d_l=3, ell_l=8, d_r=3, ell_r=9)
+        g = Geometry(d_l=3, ell_l=8, d_r=3, ell_r=9)
         with pytest.raises(ScopeError):
             negativity_asym_symmetric(SingleSite(eps0=1.0), BIAS, g, 2)
 
     def test_accepts_symmetric_geometry(self):
-        g = Geometry(m0=0, d_l=3, ell_l=8, d_r=3, ell_r=8)
+        g = Geometry(d_l=3, ell_l=8, d_r=3, ell_r=8)
         p = negativity_asym_symmetric(SingleSite(eps0=1.0), BIAS, g, 2)
         assert p.linear_length == 8.0
 
     def test_zero_bias_refused(self):
         with pytest.raises(BiasError):
             negativity_asym_symmetric(SingleSite(eps0=1.0), NO_BIAS,
-                                      Geometry(0, 0, 16, 0, 16), 2)
+                                      Geometry(0, 16, 0, 16), 2)
 
 
-_GEOMETRY = Geometry(0, 2, 8, 2, 8)
+_GEOMETRY = Geometry(2, 8, 2, 8)
 # each entry point with one parameter set to x, and the name its error gives;
 # ConstantS and the chemical potential take no inf here, which T + R = 1
 # and the band edge already reject
 NON_FINITE_CASES = [
     ("SingleSite(eps0)", lambda x: SingleSite(x), "eps0=", (np.nan, np.inf)),
-    ("SingleSite(eta)", lambda x: SingleSite(1.0, eta=x), "eta=", (np.nan, np.inf)),
     ("ConstantS", lambda x: ConstantS(x, x, x, x), "scattering matrix", (np.nan,)),
     ("fermi_momentum(eta)", lambda x: fermi_momentum(x, 0.5), "eta=", (np.nan, np.inf)),
     ("fermi_momentum(mu)", lambda x: fermi_momentum(1.0, x), "mu=", (np.nan,)),

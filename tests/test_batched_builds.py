@@ -32,12 +32,12 @@ BIASES = {
 }
 MODELS = {
     "eps0=1": SingleSite(eps0=1.0),
-    "eps0=0.05": SingleSite(eps0=0.05),   # full mode bisects near k = 0 at m0=2
+    "eps0=0.05": SingleSite(eps0=0.05),   # full mode bisects near k = 0 at d_l=5
     "beamsplitter": ConstantS.beamsplitter(0.4),
 }
 GEOMETRIES = {
-    "m0=0": Geometry(m0=0, d_l=20, ell_l=6, d_r=20, ell_r=6),
-    "m0=2": Geometry(m0=2, d_l=3, ell_l=4, d_r=7, ell_r=5),
+    "d=20": Geometry(d_l=20, ell_l=6, d_r=20, ell_r=6),
+    "d_l=5": Geometry(d_l=5, ell_l=4, d_r=9, ell_r=5),
 }
 
 
@@ -66,7 +66,7 @@ def test_build_equals_entry_by_entry_oracle(monkeypatch, mode, bias, model, geom
     got = build_corr_matrix(*args, "A", mode).mat
     want = oracles.build_corr_matrix(*args, mode)
     assert got.tobytes() == want.tobytes()
-    if (mode, model, geometry) == ("full", "eps0=0.05", "m0=2"):
+    if (mode, model, geometry) == ("full", "eps0=0.05", "d_l=5"):
         assert levels  # entries whose initial panels fail continue from them
 
 
@@ -74,7 +74,7 @@ def test_shared_window_cache_across_builds_equals_oracle():
     model, bias = SingleSite(eps0=0.8), BIASES["kf_l>kf_r"]
     cache, oracle_cache = {}, {}
     for d_l, d_r in ((3, 9), (9, 3), (5, 5), (12, 1)):
-        g = Geometry(m0=0, d_l=d_l, ell_l=7, d_r=d_r, ell_r=5)
+        g = Geometry(d_l=d_l, ell_l=7, d_r=d_r, ell_r=5)
         got = build_corr_matrix(model, bias, g, "A", "longrange", cache).mat
         want = oracles.build_corr_matrix(model, bias, g, "longrange", oracle_cache)
         assert got.tobytes() == want.tobytes()
@@ -82,20 +82,20 @@ def test_shared_window_cache_across_builds_equals_oracle():
     assert all(repr(cache[key]) == repr(oracle(*key)) for key in cache)
 
 
-def _length_scan(m0: int, d: int) -> list:
-    return [Geometry(m0=m0, d_l=d, ell_l=ell, d_r=d, ell_r=ell) for ell in (2, 4, 6)]
+def _length_scan(d: int) -> list:
+    return [Geometry(d_l=d, ell_l=ell, d_r=d, ell_r=ell) for ell in (2, 4, 6)]
 
 
-def _offset_scan(m0: int, d: int) -> list:
+def _offset_scan(d: int) -> list:
     # as run_scan places offsets: >= 0 moves d_l, < 0 moves d_r
-    return [Geometry(m0=m0, d_l=d + max(v, 0), ell_l=3, d_r=d - min(v, 0), ell_r=4)
+    return [Geometry(d_l=d + max(v, 0), ell_l=3, d_r=d - min(v, 0), ell_r=4)
             for v in (-4, -2, 0, 2, 4)]
 
 
 REUSE_CASES = {
-    "eps0=1": (MODELS["eps0=1"], 0, 3),
-    "eps0=0.05 m0=2": (MODELS["eps0=0.05"], 2, 3),
-    "beamsplitter": (MODELS["beamsplitter"], 0, 6),
+    "eps0=1": (MODELS["eps0=1"], 3),
+    "eps0=0.05 d=5": (MODELS["eps0=0.05"], 5),
+    "beamsplitter": (MODELS["beamsplitter"], 6),
 }
 
 
@@ -103,10 +103,10 @@ REUSE_CASES = {
 @pytest.mark.parametrize("case", REUSE_CASES)
 def test_full_builds_sharing_a_cache_equal_fresh_builds(scan, case):
     # a shared cache copies the entries of site pairs the last build held
-    model, m0, d = REUSE_CASES[case]
+    model, d = REUSE_CASES[case]
     bias = BIASES["kf_l>kf_r"]
     cache: dict = {}
-    for g in scan(m0, d):
+    for g in scan(d):
         got = build_corr_matrix(model, bias, g, "A", "full", cache).mat
         assert got.tobytes() == build_corr_matrix(model, bias, g, "A", "full").mat.tobytes()
         assert got.tobytes() == oracles.build_corr_matrix(model, bias, g, "full").tobytes()
@@ -131,9 +131,9 @@ def test_full_mode_scan_integrates_each_site_pair_once(monkeypatch):
     pairs = []
     real = correlation.corr_entry_full
 
-    def spy(model, bias, j, m, m0=0):
+    def spy(model, bias, j, m):
         pairs.append(np.size(j))
-        return real(model, bias, j, m, m0)
+        return real(model, bias, j, m)
 
     monkeypatch.setattr(correlation, "corr_entry_full", spy)
     rows = run_scan(parse_config(FULL_MODE_SCAN))
@@ -144,7 +144,7 @@ def test_full_mode_scan_integrates_each_site_pair_once(monkeypatch):
 def test_failed_full_build_leaves_the_cache_unchanged(monkeypatch):
     model, bias = SingleSite(eps0=1.0), BIASES["kf_l>kf_r"]
     cache: dict = {}
-    build_corr_matrix(model, bias, Geometry(0, 5, 3, 5, 3), "A", "full", cache)
+    build_corr_matrix(model, bias, Geometry(5, 3, 5, 3), "A", "full", cache)
     before = dict(cache)
 
     def failing(*args):
@@ -152,7 +152,7 @@ def test_failed_full_build_leaves_the_cache_unchanged(monkeypatch):
 
     monkeypatch.setattr(correlation, "corr_entry_full", failing)
     with pytest.raises(DomainError, match="injected"):
-        build_corr_matrix(model, bias, Geometry(0, 5, 4, 5, 4), "A", "full", cache)
+        build_corr_matrix(model, bias, Geometry(5, 4, 5, 4), "A", "full", cache)
     assert cache.keys() == before.keys()
     assert all(cache[key] is before[key] for key in before)
 
@@ -178,7 +178,7 @@ ELIDED = 16384
 
 def test_full_build_above_elision_size_equals_oracle():
     model, bias = SingleSite(eps0=1.0), BIASES["kf_l>kf_r"]
-    g = Geometry(m0=0, d_l=199, ell_l=7, d_r=199, ell_r=5)   # sites -206..-200, 200..204
+    g = Geometry(d_l=199, ell_l=7, d_r=199, ell_r=5)   # sites -206..-200, 200..204
     assert 48 * int(InitialPanels.count(bias.kf_r, 400)) > ELIDED
     got = build_corr_matrix(model, bias, g, "A", "full").mat
     assert got.tobytes() == oracles.build_corr_matrix(model, bias, g, "full").tobytes()
@@ -226,7 +226,7 @@ bias = BiasConfig(1.7707963267948966, 1.5707963267948966)
 cache = {cache}
 tracemalloc.start()
 for ell in {lengths}:
-    g = Geometry(m0=0, d_l=20, ell_l=ell, d_r=20, ell_r=ell)
+    g = Geometry(d_l=20, ell_l=ell, d_r=20, ell_r=ell)
     build_corr_matrix(SingleSite(eps0=1.0), bias, g, "A", "full", cache)
 print(json.dumps(tracemalloc.get_traced_memory()[1] / 2 ** 20))
 """

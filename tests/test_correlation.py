@@ -1,17 +1,15 @@
 """Correlation kernels against brute-force quadrature and structure checks."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
-from nesscorr.asymptotics import vn_mi_asym
 from nesscorr.correlation import (CorrelationMatrix, _fermi_kernel, _hermitian_fill,
                                   build_corr_matrix, corr_entry_full)
 from nesscorr.densela import herm_eigvals
-from nesscorr.errors import DimensionError
+from nesscorr.errors import DimensionError, DomainError
 from nesscorr.model import BiasConfig, ConstantS, Geometry, SingleSite
 
 BIAS = BiasConfig(np.pi / 2 + 0.2, np.pi / 2)
@@ -21,7 +19,7 @@ def longrange_entry(model, bias, j, m):
     """<c_j^dag c_m> read from the long-range C_A of intervals holding j and m."""
     neg = [s for s in (j, m) if s < 0] or [-1]
     pos = [s for s in (j, m) if s > 0] or [1]
-    g = Geometry(m0=0, d_l=-max(neg) - 1, ell_l=max(neg) - min(neg) + 1,
+    g = Geometry(d_l=-max(neg) - 1, ell_l=max(neg) - min(neg) + 1,
                  d_r=min(pos) - 1, ell_r=max(pos) - min(pos) + 1)
     c = build_corr_matrix(model, bias, g, "A")
     index = {site: p for p, site in enumerate(c.sites)}
@@ -105,7 +103,7 @@ class TestLongRangeEntries:
 
     @pytest.mark.parametrize("j,m", [(8, 5), (-3, -6), (7, -4), (-2, 9)])
     def test_single_site_matches_trapezoid_oracle(self, j, m):
-        model = SingleSite(eps0=1.0, eta=1.0)
+        model = SingleSite(eps0=1.0)
         got = longrange_entry(model, BIAS, j, m)
         want = trapezoid_longrange(model, BIAS, j, m)
         assert got == pytest.approx(want, abs=1e-8)
@@ -131,10 +129,15 @@ class TestFullEntries:
 
     @pytest.mark.parametrize("j,m", [(5, -5), (3, 8), (-2, -9), (-4, 6)])
     def test_single_site_matches_trapezoid_oracle(self, j, m):
-        model = SingleSite(eps0=1.0, eta=1.0)
+        model = SingleSite(eps0=1.0)
         got = corr_entry_full(model, BIAS, j, m)
         want = trapezoid_full(model, BIAS, j, m)
         assert got == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("j, m", [(0, 5), ([-3, 4], [2, 0])])
+    def test_site_0_is_the_impurity(self, j, m):
+        with pytest.raises(DomainError, match=r"^sites \((0, 5|4, 0)\): site 0 is the impurity$"):
+            corr_entry_full(SingleSite(eps0=1.0), BIAS, j, m)
 
     def test_hermitian_pair(self):
         model = SingleSite(eps0=1.4)
@@ -152,7 +155,7 @@ class TestFullEntries:
 
 class TestBuildMatrix:
     def test_minimal_union_is_valid(self):
-        g = Geometry(m0=0, d_l=3, ell_l=1, d_r=3, ell_r=1)
+        g = Geometry(d_l=3, ell_l=1, d_r=3, ell_r=1)
         c = build_corr_matrix(ConstantS.beamsplitter(0.5), BIAS, g, "A")
         lam = herm_eigvals(c.mat)
         assert c.dim == 2
@@ -160,8 +163,8 @@ class TestBuildMatrix:
 
     def test_left_block_is_toeplitz_and_distance_free(self):
         model = SingleSite(eps0=0.9)
-        g1 = Geometry(m0=0, d_l=5, ell_l=6, d_r=2, ell_r=3)
-        g2 = Geometry(m0=0, d_l=500, ell_l=6, d_r=2, ell_r=3)
+        g1 = Geometry(d_l=5, ell_l=6, d_r=2, ell_r=3)
+        g2 = Geometry(d_l=500, ell_l=6, d_r=2, ell_r=3)
         c1 = build_corr_matrix(model, BIAS, g1, "A_L")
         c2 = build_corr_matrix(model, BIAS, g2, "A_L")
         np.testing.assert_allclose(c1.mat, c2.mat, atol=1e-12)
@@ -172,7 +175,7 @@ class TestBuildMatrix:
 
     def test_cross_block_constant_on_antidiagonals(self):
         model = SingleSite(eps0=1.2)
-        g = Geometry(m0=1, d_l=4, ell_l=5, d_r=2, ell_r=7)
+        g = Geometry(d_l=5, ell_l=5, d_r=3, ell_r=7)
         c = build_corr_matrix(model, BIAS, g, "A")
         cross = c.mat[:g.ell_l, g.ell_l:]
         for s in range(g.ell_l + g.ell_r - 2):
@@ -181,13 +184,13 @@ class TestBuildMatrix:
             np.testing.assert_allclose(vals, vals[0], atol=1e-12)
 
     def test_trivial_impurity_block_diagonal(self):
-        g = Geometry(m0=0, d_l=2, ell_l=4, d_r=3, ell_r=5)
+        g = Geometry(d_l=2, ell_l=4, d_r=3, ell_r=5)
         c = build_corr_matrix(ConstantS.beamsplitter(1.0), BIAS, g, "A")
         assert np.max(np.abs(c.mat[:4, 4:])) <= 1e-14
 
     def test_no_bias_cross_block_vanishes(self):
         bias = BiasConfig(1.3, 1.3)
-        g = Geometry(m0=0, d_l=2, ell_l=4, d_r=2, ell_r=4)
+        g = Geometry(d_l=2, ell_l=4, d_r=2, ell_r=4)
         c = build_corr_matrix(ConstantS.beamsplitter(0.37), bias, g, "A")
         assert np.max(np.abs(c.mat[:4, 4:])) <= 1e-12
 
@@ -196,7 +199,7 @@ class TestBuildMatrix:
     ])
     def test_hermiticity_and_spectrum(self, subsystem, mode):
         model = SingleSite(eps0=1.0)
-        g = Geometry(m0=0, d_l=6, ell_l=5, d_r=4, ell_r=6)
+        g = Geometry(d_l=6, ell_l=5, d_r=4, ell_r=6)
         c = build_corr_matrix(model, BIAS, g, subsystem, mode)
         assert np.max(np.abs(c.mat - c.mat.conj().T)) == 0.0
         lam = herm_eigvals(c.mat)
@@ -204,7 +207,7 @@ class TestBuildMatrix:
 
     def test_full_mode_agrees_with_entry_function(self):
         model = SingleSite(eps0=0.7)
-        g = Geometry(m0=2, d_l=3, ell_l=2, d_r=5, ell_r=2)
+        g = Geometry(d_l=5, ell_l=2, d_r=7, ell_r=2)
         c = build_corr_matrix(model, BIAS, g, "A", "full")
         sites = list(c.sites)
         assert sites == [-7, -6, 8, 9]
@@ -212,28 +215,16 @@ class TestBuildMatrix:
             for q, mq in enumerate(sites):
                 if q < p:
                     continue
-                want = corr_entry_full(model, BIAS, jp, mq, g.m0)
+                want = corr_entry_full(model, BIAS, jp, mq)
                 assert c.mat[p, q] == (want.real if p == q else want)
 
     def test_offset_shift_invariance_longrange(self):
         model = SingleSite(eps0=1.1)
-        g1 = Geometry(m0=0, d_l=9, ell_l=4, d_r=5, ell_r=6)
-        g2 = Geometry(m0=0, d_l=26, ell_l=4, d_r=22, ell_r=6)
+        g1 = Geometry(d_l=9, ell_l=4, d_r=5, ell_r=6)
+        g2 = Geometry(d_l=26, ell_l=4, d_r=22, ell_r=6)
         c1 = build_corr_matrix(model, BIAS, g1, "A")
         c2 = build_corr_matrix(model, BIAS, g2, "A")
         np.testing.assert_allclose(c1.mat, c2.mat, atol=1e-12)
-
-    @pytest.mark.parametrize("mode", ["longrange", "full"])
-    def test_m0_and_eta_add_no_freedom(self, mode):
-        # m0 only shifts the sites (in full mode, as d_l + m0 and d_r + m0),
-        # and given the Fermi momenta eta enters only through eps0 / 2 eta
-        model, g = SingleSite(eps0=1.0), Geometry(m0=3, d_l=5, ell_l=6, d_r=7, ell_r=6)
-        g0 = Geometry(0, 8, 6, 10, 6) if mode == "full" else replace(g, m0=0)
-        want = build_corr_matrix(model, BIAS, g0, "A", mode).mat.tobytes()
-        assert build_corr_matrix(model, BIAS, g, "A", mode).mat.tobytes() == want
-        assert build_corr_matrix(SingleSite(eps0=2.0, eta=2.0), BIAS, g0, "A",
-                                 mode).mat.tobytes() == want
-        assert vn_mi_asym(model, BIAS, g) == vn_mi_asym(model, BIAS, replace(g, m0=0))
 
 
 class TestHermitianStorage:
@@ -254,13 +245,13 @@ class TestHermitianStorage:
     def test_longrange_build_across_strips_matches_the_oracle(self):
         # 129 sites: two full strips and a partial one, unequal sides
         model = ConstantS.beamsplitter(0.37)
-        g = Geometry(m0=0, d_l=30, ell_l=70, d_r=25, ell_r=59)
+        g = Geometry(d_l=30, ell_l=70, d_r=25, ell_r=59)
         got = build_corr_matrix(model, BIAS, g, "A").mat
         assert got.tobytes() == oracles.build_corr_matrix(model, BIAS, g).tobytes()
 
     def test_longrange_build_holds_no_second_matrix(self):
         # C_A itself; the Toeplitz side blocks are views written straight in
-        g = Geometry(m0=0, d_l=512, ell_l=512, d_r=512, ell_r=512)
+        g = Geometry(d_l=512, ell_l=512, d_r=512, ell_r=512)
         n = g.ell_l + g.ell_r
         tracemalloc.start()
         try:
@@ -272,7 +263,7 @@ class TestHermitianStorage:
 
 
 class TestBlocks:
-    GEOMETRY = Geometry(m0=1, d_l=2, ell_l=3, d_r=4, ell_r=4)
+    GEOMETRY = Geometry(d_l=3, ell_l=3, d_r=5, ell_r=4)
 
     @pytest.mark.parametrize("mode", ["longrange", "full"])
     def test_blocks_are_views_with_site_maps(self, mode):
@@ -312,7 +303,7 @@ class TestBlocks:
         assert list(c.sites) == list(sites)
         assert c.n_left == (len(sites) if subsystem == "A_L" else 0)
         if mode == "full":
-            upper = np.array([[corr_entry_full(model, BIAS, j, m, g.m0) if q >= p else 0.0
+            upper = np.array([[corr_entry_full(model, BIAS, j, m) if q >= p else 0.0
                                for q, m in enumerate(sites)]
                               for p, j in enumerate(sites)])
             # Hermitian storage: real diagonal, lower triangle conjugated

@@ -59,7 +59,7 @@ BOUNDS = {"MI": 1e-12, "MI_2": 1e-13, "S_2": 1e-13, "S_3": 5e-14, "S_4": 5e-14}
 NEGATIVITY_BOUND = 1e-13
 DECOUPLED_BOUNDS = {"MI": 1e-11, "MI_2": 6e-13}
 ONE_ULP_BOUNDS = {"MI": 4e-11, "MI_2": 2e-12}
-LARGE = Geometry(0, 0, 512, 0, 512)
+LARGE = Geometry(0, 512, 0, 512)
 PARTICLE_HOLE_BOUNDS = {"MI": 2e-11, "MI_2": 1e-12, "S_2": 1e-12}
 PARTICLE_HOLE_NEGATIVITY_BOUNDS = {(renyi_negativity_eig, 2): 6e-13,
                                    (renyi_negativity_eig, 4): 7e-13,
@@ -87,7 +87,7 @@ def _renyi_mp(spectrum, n: int) -> mpmath.mpf:
 @pytest.mark.parametrize("ell", [8, 16])
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_hermitian_measures_sit_on_their_floor(name, ell):
-    c_a = build_corr_matrix(MODELS[name], BIAS, Geometry(0, 0, ell, 0, ell), "A",
+    c_a = build_corr_matrix(MODELS[name], BIAS, Geometry(0, ell, 0, ell), "A",
                             "longrange")
     c_l, c_r = c_a.blocks()
     with mpmath.workdps(DPS):
@@ -156,7 +156,7 @@ def _negativity_mp(mat: np.ndarray, size_left: int, n: int) -> mpmath.mpf:
 @pytest.mark.parametrize("ell", [8, 16])
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_renyi_negativities_sit_on_their_floor(name, ell):
-    c_a = build_corr_matrix(MODELS[name], BIAS, Geometry(0, 0, ell, 0, ell), "A",
+    c_a = build_corr_matrix(MODELS[name], BIAS, Geometry(0, ell, 0, ell), "A",
                             "longrange")
     for n in (2, 4):
         with mpmath.workdps(DPS):
@@ -181,7 +181,7 @@ def _particle_hole_pair(eps0: float, g: Geometry, mode: str):
 def test_full_mode_particle_hole_map_fills_the_bound_state(eps0, d):
     # the build at -eps0 < 0 holds the occupied bound state; at d = 20 its
     # weight at A is still 9.3e-2 for eps0 = 0.05
-    c_a, mapped = _particle_hole_pair(-eps0, Geometry(0, d, 6, d, 6), "full")
+    c_a, mapped = _particle_hole_pair(-eps0, Geometry(d, 6, d, 6), "full")
     assert np.max(np.abs(c_a.mat - mapped.mat)) <= 1e-14
 
 
@@ -194,18 +194,18 @@ def test_particle_hole_map_moves_hermitian_measures_within_their_floor():
 
 
 def test_particle_hole_map_moves_renyi_negativities_within_their_floor():
-    pair = _particle_hole_pair(1.0, Geometry(0, 0, 256, 0, 256), "longrange")
+    pair = _particle_hole_pair(1.0, Geometry(0, 256, 0, 256), "longrange")
     for (route, n), bound in PARTICLE_HOLE_NEGATIVITY_BOUNDS.items():
         got = [route(c, c.n_left, n).value for c in pair]
         assert abs(got[0] - got[1]) <= bound, (route.__name__, n, got)
 
 
-@pytest.mark.parametrize("mode, g", [("longrange", Geometry(0, 3, 96, 7, 128)),
-                                     ("full", Geometry(0, 20, 6, 25, 9))])
+@pytest.mark.parametrize("mode, g", [("longrange", Geometry(3, 96, 7, 128)),
+                                     ("full", Geometry(20, 6, 25, 9))])
 @pytest.mark.parametrize("eps0", [1.0, -0.3])
 def test_mirror_map_gives_the_matrix_back(mode, g, eps0):
     c_a = build_corr_matrix(SingleSite(eps0), BIAS, g, "A", mode)
     mirrored = build_corr_matrix(SingleSite(eps0), BiasConfig(BIAS.kf_r, BIAS.kf_l),
-                                 Geometry(g.m0, g.d_r, g.ell_r, g.d_l, g.ell_l), "A", mode)
+                                 Geometry(g.d_r, g.ell_r, g.d_l, g.ell_l), "A", mode)
     assert np.array_equal(mirrored.sites[::-1], -c_a.sites)
     assert np.max(np.abs(c_a.mat - mirrored.mat[::-1, ::-1])) <= MIRROR_BOUNDS[mode]

@@ -274,7 +274,7 @@ def closed_mi_log_term(t, n, lengths):
     term in the closed form of :mod:`nesscorr.asymptotics`.
     """
     d_l, ell_l, d_r, ell_r = lengths
-    g = Geometry(m0=0, d_l=d_l, ell_l=ell_l, d_r=d_r, ell_r=ell_r)
+    g = Geometry(d_l=d_l, ell_l=ell_l, d_r=d_r, ell_r=ell_r)
     return (1 - n) * renyi_mi_asym(ConstantS.beamsplitter(t), BIAS, g, n).log_part
 
 
@@ -321,7 +321,7 @@ class TestGammaLogSums:
         # for a constant-transmission model, scaled by (1 - n)
         t = 0.35
         model = ConstantS.beamsplitter(t)
-        g = Geometry(m0=0, d_l=15, ell_l=30, d_r=30, ell_r=40)
+        g = Geometry(d_l=15, ell_l=30, d_r=30, ell_r=40)
         lengths = (g.d_l, g.ell_l, g.d_r, g.ell_r)
         pred = renyi_mi_asym(model, BIAS, g, n)
         got = gamma_log_sum_mi(t, n, "partial", lengths)
@@ -396,7 +396,7 @@ class TestBlockMachinery:
     def test_reindexing_matches_correlation_builder(self):
         model = ConstantS.beamsplitter(0.5)
         ell = 8
-        g = Geometry(m0=0, d_l=4, ell_l=ell, d_r=4, ell_r=ell)
+        g = Geometry(d_l=4, ell_l=ell, d_r=4, ell_r=ell)
         c = build_corr_matrix(model, BIAS, g, "A")
         blk = block_toeplitz_matrix(block_symbol(model, BIAS), ell)
         # block row 2(j-1)+sigma: sigma=0 is right site j, sigma=1 is left
@@ -442,7 +442,7 @@ class TestBlockMachinery:
         # gamma-indexed determinants of symbol-built Toeplitz matrices
         t, ell = 0.5, 40
         model = ConstantS.beamsplitter(t)
-        g = Geometry(m0=0, d_l=7, ell_l=ell, d_r=7, ell_r=ell)
+        g = Geometry(d_l=7, ell_l=ell, d_r=7, ell_r=ell)
         c_l = build_corr_matrix(model, BIAS, g, "A_L")
         c_r = build_corr_matrix(model, BIAS, g, "A_R")
         c_a = build_corr_matrix(model, BIAS, g, "A")
@@ -470,7 +470,7 @@ class TestBlockMachinery:
         flipped = BiasConfig(np.pi / 2, np.pi / 2 + 0.2)
         model = ConstantS.beamsplitter(0.4)
         ell = 6
-        g = Geometry(m0=0, d_l=3, ell_l=ell, d_r=3, ell_r=ell)
+        g = Geometry(d_l=3, ell_l=ell, d_r=3, ell_r=ell)
         c = build_corr_matrix(model, flipped, g, "A")
         blk = block_toeplitz_matrix(block_symbol(model, flipped), ell)
         perm = np.empty(2 * ell, dtype=int)

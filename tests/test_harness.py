@@ -50,7 +50,7 @@ def small_config(**overrides):
     defaults = dict(
         model=ConstantS.beamsplitter(0.5),
         bias=BIAS,
-        geometry=Geometry(m0=0, d_l=0, ell_l=4, d_r=0, ell_r=4),
+        geometry=Geometry(d_l=0, ell_l=4, d_r=0, ell_r=4),
         scan_variable="length",
         scan_values=(8, 16, 32),
         measures=("MI", "MI_n"),
@@ -141,7 +141,7 @@ class TestGeometryTemplates:
 
     def test_offset_scan_both_signs(self):
         cfg = small_config(scan_variable="offset", scan_values=(-7, 0, 7),
-                           geometry=Geometry(0, 0, 5, 3, 5))
+                           geometry=Geometry(0, 5, 3, 5))
         assert geometry_at(cfg, 7).d_l - geometry_at(cfg, 7).d_r == 7
         assert geometry_at(cfg, -7).d_l - geometry_at(cfg, -7).d_r == -7
 
@@ -180,7 +180,7 @@ class TestRunScan:
 
     @pytest.mark.parametrize("geometry", [
         dict(scan_variable="offset", scan_values=(-7, 0, 7),
-             geometry=Geometry(0, 20, 40, 20, 60)),
+             geometry=Geometry(20, 40, 20, 60)),
         dict(ell_r_ratio=2), dict(offset_ratio=0.5)])
     @pytest.mark.parametrize("measures", [("MI", "E"), ("E_n",)])
     def test_asymmetric_negativity_is_a_config_error(self, geometry, measures):
@@ -189,8 +189,8 @@ class TestRunScan:
             small_config(measures=measures, **geometry)
 
     def test_distance_shift_leaves_rows_unchanged(self):
-        cfg1 = small_config(geometry=Geometry(0, 0, 4, 0, 4))
-        cfg2 = small_config(geometry=Geometry(0, 9, 4, 9, 4))
+        cfg1 = small_config(geometry=Geometry(0, 4, 0, 4))
+        cfg2 = small_config(geometry=Geometry(9, 4, 9, 4))
         csv1 = rows_to_csv(run_scan(cfg1))
         csv2 = rows_to_csv(run_scan(cfg2))
         assert csv1 == csv2
@@ -202,7 +202,7 @@ class TestRunScan:
     def test_degenerate_offsets_flagged(self):
         cfg = small_config(scan_variable="offset",
                            scan_values=(-20, -3, 0, 3, 20),
-                           geometry=Geometry(0, 0, 8, 30, 8))
+                           geometry=Geometry(0, 8, 30, 8))
         rows = run_scan(cfg)
         flagged = {r.scan_value for r in rows if r.degenerate}
         assert {-3, 3}.issubset(flagged)
@@ -219,7 +219,7 @@ class TestRunScan:
 
     def test_failing_measure_leaves_the_others_of_its_point(self, monkeypatch):
         cfg = small_config(measures=("MI", "E"),
-                           geometry=Geometry(0, 2, 4, 2, 4))
+                           geometry=Geometry(2, 4, 2, 4))
         clean = run_scan(cfg)
         real_negativity = harness_module.measures.fermionic_negativity
 
@@ -244,7 +244,7 @@ class TestRunScan:
         # the same model and the full-mode C_A of a lattice impurity are
         # correlation matrices
         base = dict(bias=BiasConfig(3.0, np.pi / 2),
-                    geometry=Geometry(0, 1, 4, 1, 4), scan_values=(4,),
+                    geometry=Geometry(1, 4, 1, 4), scan_values=(4,),
                     measures=("MI",))
         (row,) = run_scan(small_config(mode="full", **base))
         assert row.error == ("SpectrumError: correlation spectrum [3.637e-02, 1.010e+00] "
@@ -261,7 +261,7 @@ class TestRunScan:
         sizes = _count_spectra(monkeypatch)
         rows = run_scan(small_config(
             model=ConstantS.beamsplitter(0.0), mode="full",
-            bias=BiasConfig(3.0, np.pi / 2), geometry=Geometry(0, 1, 4, 1, 4),
+            bias=BiasConfig(3.0, np.pi / 2), geometry=Geometry(1, 4, 1, 4),
             scan_values=(2, 4, 8, 16), measures=("E", "E_n"), n_values=(2, 4)))
         assert sizes == []
         assert len(rows) == 3 * 4
@@ -319,7 +319,7 @@ class TestRunScan:
 
             monkeypatch.setattr(module, name, counting)
         cfg = small_config(model=SingleSite(eps0=1.0), measures=(measure,),
-                           geometry=Geometry(0, 2, 8, 2, 8))
+                           geometry=Geometry(2, 8, 2, 8))
         rows = run_scan(cfg)
         assert all(r.error is None for r in rows)
         points = len(cfg.scan_values)
@@ -363,7 +363,7 @@ class TestRunScan:
         # each for the scan, plus one of C_A per point
         cfg = small_config(model=SingleSite(eps0=1.0), scan_variable="offset",
                            scan_values=(-6, -3, 0, 3, 6),
-                           geometry=Geometry(0, 0, 4, 10, 6),
+                           geometry=Geometry(0, 4, 10, 6),
                            measures=("MI", "MI_n", "S_n"))
         sizes = _count_spectra(monkeypatch)
         rows = run_scan(cfg)
@@ -376,7 +376,7 @@ class TestRunScan:
         # whose distance equals the previous point's is not diagonalised again
         cfg = small_config(model=SingleSite(eps0=1.0), mode="full",
                            scan_variable="offset", scan_values=(-4, -2, 0, 2, 4),
-                           geometry=Geometry(0, 0, 3, 6, 4), measures=("MI",))
+                           geometry=Geometry(0, 3, 6, 4), measures=("MI",))
         sizes = _count_spectra(monkeypatch)
         rows = run_scan(cfg)
         assert sizes == [3, 4, 7,   # -4: first point, nothing to reuse
@@ -408,12 +408,12 @@ class TestRunScan:
     def test_full_mode_length_scan_matches_fresh_points(self):
         # each point reuses the entries of the site pairs the last one held
         cfg = small_config(model=SingleSite(eps0=1.0), mode="full", scan_values=(2, 4, 6),
-                           geometry=Geometry(0, 0, 1, 5, 1), measures=ALL_MEASURES,
+                           geometry=Geometry(0, 1, 5, 1), measures=ALL_MEASURES,
                            n_values=(2, 4))
         _assert_rows_match_fresh_points(cfg, run_scan(cfg))
 
     def test_full_mode_scan_tracks_longrange_at_large_distance(self):
-        geometry = Geometry(0, 300, 4, 300, 4)
+        geometry = Geometry(300, 4, 300, 4)
         base = dict(scan_values=(4, 6), measures=("MI_n",),
                     geometry=geometry, model=SingleSite(eps0=1.0))
         full = run_scan(small_config(mode="full", **base))
@@ -437,7 +437,7 @@ class TestRunScan:
         monkeypatch.setattr(harness_module.measures, "fermionic_negativity",
                             tagged_negativity)
         cfg = small_config(scan_values=(4, 8, 12), measures=("MI", "E"),
-                           geometry=Geometry(0, 2, 4, 2, 4))
+                           geometry=Geometry(2, 4, 2, 4))
         rows = run_scan(cfg)
         e_rows = [r for r in rows if r.measure == "E"]
         assert [r.clamped_count for r in e_rows] == [
@@ -508,7 +508,7 @@ class TestConfigParsing:
         assert line in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
-    @pytest.mark.parametrize("line, first", [("model.eps0 = 3.0", 5), ("measures = MI", 19)])
+    @pytest.mark.parametrize("line, first", [("model.eps0 = 3.0", 5), ("measures = MI", 17)])
     def test_key_set_twice_rejected(self, line, first):
         # keeping the last value would give eps0 = 3.0, or MI without MI_n
         with open(os.path.join(ROOT, "configs", "offset_scan.cfg")) as fh:
@@ -605,9 +605,44 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^model.eta = {eta}: "):
             parse_config(text + f"model.eta = {eta}\n")
 
+    FOLD_TEXT = """model.kind = single_site
+bias.kf_l = 1.7707963267948966
+bias.kf_r = 1.5707963267948966
+scan.variable = length
+scan.values = 4,6
+measures = MI,MI_n,E
+"""
+
+    @pytest.mark.parametrize("mode, eps0", [("longrange", 2.6), ("full", 2.6),
+                                            ("full", -2.6)])
+    def test_m0_and_eta_fold_into_the_distances_and_eps0(self, mode, eps0):
+        # the library has neither: m0 adds to both distances, eta divides
+        # eps0; at eps0 < 0 full mode also fills the bound state
+        legacy = self.FOLD_TEXT + (f"mode = {mode}\nmodel.eps0 = {eps0}\nmodel.eta = 2.0\n"
+                                   "geometry.m0 = 3\ngeometry.d_l = 5\ngeometry.d_r = 9\n")
+        twin = self.FOLD_TEXT + (f"mode = {mode}\nmodel.eps0 = {eps0 / 2}\n"
+                                 "geometry.d_l = 8\ngeometry.d_r = 12\n")
+        cfg, folded = parse_config(legacy), parse_config(twin)
+        assert repr(cfg) == repr(folded)
+        rows = run_scan(cfg)
+        assert all(r.error is None for r in rows)
+        assert rows_to_csv(rows) == rows_to_csv(run_scan(folded))
+
+    @pytest.mark.parametrize("lines, named", [
+        pytest.param("model.eps0 = 1.0\ngeometry.m0 = -1", "geometry.m0 = -1", id="m0<0"),
+        pytest.param("model.eps0 = 1.0\nmodel.eta = 0", "model.eta = 0", id="eta=0"),
+        # eps0 / eta overflows to inf, which SingleSite rejects at once
+        pytest.param("model.eps0 = 1e308\nmodel.eta = 1e-308",
+                     "model.eps0 = 1e308, model.eta = 1e-308", id="overflow"),
+    ])
+    def test_a_bad_fold_is_a_config_error_naming_its_keys(self, lines, named):
+        with pytest.raises(ConfigError, match=f"^{re.escape(named)}: "):
+            parse_config(self.FOLD_TEXT + lines + "\n")
+
     @pytest.mark.parametrize("kind,line", [
         ("single_site", "model.eps0 = one"), ("single_site", "geometry.d_l = 2.5"),
-        ("single_site", "geometry.d_r = -3"), ("single_site", "bias.kf_l = 4.0"),
+        ("single_site", "geometry.d_r = -3"), ("single_site", "geometry.m0 = -1"),
+        ("single_site", "bias.kf_l = 4.0"),
         ("single_site", "model.eta = -1"), ("single_site", "model.eps0 = nan"),
         ("single_site", "model.eta = inf"), ("single_site", "scan.offset_ratio = nan"),
         ("single_site", "scan.offset_ratio = inf"), ("constant_s", "bias.kf_r = -inf"),
@@ -693,7 +728,7 @@ class TestFhValidation:
 
 class TestMeasurePoint:
     def test_reports_numeric_and_analytic(self):
-        cfg = small_config(geometry=Geometry(0, 2, 8, 2, 8),
+        cfg = small_config(geometry=Geometry(2, 8, 2, 8),
                            measures=("MI", "E"))
         out = measure_point(cfg)
         assert out["geometry"]["ell_mirror"] == 8
@@ -706,7 +741,7 @@ class TestMeasurePoint:
 
         monkeypatch.setattr(harness_module.measures, "fermionic_negativity",
                             failing)
-        cfg = small_config(geometry=Geometry(0, 2, 8, 2, 8),
+        cfg = small_config(geometry=Geometry(2, 8, 2, 8),
                            measures=("MI", "E"))
         out = measure_point(cfg)["measures"]
         assert out["E[n=1]"]["numeric_error"] == "BranchError: injected"
@@ -728,7 +763,7 @@ class TestMeasurePoint:
                 {"numeric": r.numeric, "lin_term": r.lin_term, "log_term": r.log_term})
 
     def test_asymmetric_point_reports_numeric_and_analytic_error(self):
-        cfg = small_config(geometry=Geometry(0, 2, 8, 5, 12), measures=("E",))
+        cfg = small_config(geometry=Geometry(2, 8, 5, 12), measures=("E",))
         out = measure_point(cfg)["measures"]["E[n=1]"]
         assert np.isfinite(out["numeric"])
         assert out["analytic_error"].startswith("ScopeError")

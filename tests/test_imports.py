@@ -17,10 +17,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 POINT = """model.kind = single_site
 model.eps0 = 1.0
-model.eta = 1.0
 bias.kf_l = 1.7707963267948966
 bias.kf_r = 1.5707963267948966
-geometry.m0 = 0
 geometry.d_l = {d}
 geometry.d_r = {d}
 scan.variable = length

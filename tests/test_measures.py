@@ -39,7 +39,7 @@ def diag_corr(values, n_left=0):
 def built_union(model=None, bias=BIAS, ell_l=6, ell_r=6, d_l=4, d_r=4,
                 mode="longrange"):
     model = model or ConstantS.beamsplitter(0.5)
-    g = Geometry(m0=0, d_l=d_l, ell_l=ell_l, d_r=d_r, ell_r=ell_r)
+    g = Geometry(d_l=d_l, ell_l=ell_l, d_r=d_r, ell_r=ell_r)
     return build_corr_matrix(model, bias, g, "A", mode)
 
 
@@ -129,7 +129,7 @@ class TestMutualInformation:
 
     def test_trivial_impurity_mi_vanishes(self):
         model = ConstantS.beamsplitter(1.0)
-        g = Geometry(m0=0, d_l=3, ell_l=5, d_r=3, ell_r=5)
+        g = Geometry(d_l=3, ell_l=5, d_r=3, ell_r=5)
         c_l = build_corr_matrix(model, BIAS, g, "A_L")
         c_r = build_corr_matrix(model, BIAS, g, "A_R")
         c_a = build_corr_matrix(model, BIAS, g, "A")
@@ -139,7 +139,7 @@ class TestMutualInformation:
     def test_vn_mi_nonnegative_on_built_configurations(self):
         for model in (ConstantS.beamsplitter(0.3), SingleSite(eps0=1.0)):
             for d_l, d_r in ((4, 4), (9, 2), (2, 14)):
-                g = Geometry(m0=0, d_l=d_l, ell_l=5, d_r=d_r, ell_r=7)
+                g = Geometry(d_l=d_l, ell_l=5, d_r=d_r, ell_r=7)
                 c_l = build_corr_matrix(model, BIAS, g, "A_L")
                 c_r = build_corr_matrix(model, BIAS, g, "A_R")
                 c_a = build_corr_matrix(model, BIAS, g, "A")
@@ -173,7 +173,7 @@ class TestCXi:
 
     @pytest.mark.parametrize("ell", [6, 40, 256])
     @pytest.mark.parametrize("model", [
-        SingleSite(1.0, 1.0), ConstantS.beamsplitter(0.0),
+        SingleSite(1.0), ConstantS.beamsplitter(0.0),
         ConstantS.beamsplitter(0.5), ConstantS.beamsplitter(1.0),
     ])
     def test_in_place_build_is_bit_identical_to_the_expression(self, model, ell):
@@ -310,7 +310,7 @@ class TestRealXiSpectrum:
 
     @pytest.mark.parametrize("mode", ["longrange", "full"])
     @pytest.mark.parametrize("ell", [8, 64])
-    @pytest.mark.parametrize("model", [SingleSite(1.0, 1.0), ConstantS.beamsplitter(0.5)])
+    @pytest.mark.parametrize("model", [SingleSite(1.0), ConstantS.beamsplitter(0.5)])
     def test_matches_the_complex_route(self, model, ell, mode):
         c = built_union(model, ell_l=ell, ell_r=ell, mode=mode)
         c_xi, occupation = build_c_xi(c, c.n_left)
@@ -322,7 +322,7 @@ class TestRealXiSpectrum:
             assert abs(got.value - want.real) <= 1e-13 * abs(want.real)
 
     def test_imag_residual_is_the_largest_imaginary_part_of_the_spectrum(self):
-        c = built_union(SingleSite(1.0, 1.0), ell_l=8, ell_r=8)
+        c = built_union(SingleSite(1.0), ell_l=8, ell_r=8)
         imag = np.max(np.abs(gen_eigvals(build_c_xi(c, c.n_left)[0]).imag))
         assert imag > 0
         assert fermionic_negativity(c, c.n_left).imag_residual == imag
@@ -338,7 +338,7 @@ class TestRealXiSpectrum:
             return xi
 
         monkeypatch.setattr(measures_module, "gen_eigvals", patched)
-        c = built_union(SingleSite(1.0, 1.0))
+        c = built_union(SingleSite(1.0))
         with pytest.raises(SpectrumError, match="C_Xi"):
             fermionic_negativity(c, c.n_left)
 

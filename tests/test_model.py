@@ -27,8 +27,8 @@ class TestScattering:
         assert SingleSite(eps0=0.0).transmission(np.pi / 2) == pytest.approx(1.0)
 
     def test_single_site_half_transmission(self):
-        # eps0 = 2 eta at k = pi/2: T = 1 / (1 + 1) = 1/2
-        model = SingleSite(eps0=2.0, eta=1.0)
+        # eps0 = 2 hoppings at k = pi/2: T = 1 / (1 + 1) = 1/2
+        model = SingleSite(eps0=2.0)
         assert model.transmission(np.pi / 2) == pytest.approx(0.5)
 
     def test_constant_model_returns_stored_amplitudes(self):
@@ -40,8 +40,8 @@ class TestScattering:
         assert residual <= 1e-12
 
     @pytest.mark.parametrize("model", [
-        SingleSite(eps0=0.7, eta=1.0),
-        SingleSite(eps0=3.0, eta=2.0),
+        SingleSite(eps0=0.7),
+        SingleSite(eps0=1.5),
         ConstantS.beamsplitter(0.42),
     ])
     def test_unitarity_over_momentum_grid(self, model):
@@ -99,15 +99,15 @@ class TestFermiMomentum:
 
 class TestGeometry:
     def test_mirror_overlap_arithmetic(self):
-        g = Geometry(m0=0, d_l=5, ell_l=10, d_r=7, ell_r=10)
+        g = Geometry(d_l=5, ell_l=10, d_r=7, ell_r=10)
         assert mirror_overlap(g) == (8, 2, 2)
 
     def test_disjoint_mirror_images(self):
-        g = Geometry(m0=0, d_l=0, ell_l=3, d_r=10, ell_r=3)
+        g = Geometry(d_l=0, ell_l=3, d_r=10, ell_r=3)
         assert mirror_overlap(g) == (0, 3, 3)
 
     def test_symmetric_configuration(self):
-        g = Geometry(m0=0, d_l=4, ell_l=9, d_r=4, ell_r=9)
+        g = Geometry(d_l=4, ell_l=9, d_r=4, ell_r=9)
         assert mirror_overlap(g) == (9, 0, 0)
 
     @pytest.mark.parametrize("d_l,ell_l,d_r,ell_r", [
@@ -115,30 +115,32 @@ class TestGeometry:
     ])
     def test_overlap_depends_on_distance_difference_only(self, d_l, ell_l,
                                                          d_r, ell_r):
-        base = mirror_overlap(Geometry(0, d_l, ell_l, d_r, ell_r))
-        shifted = mirror_overlap(Geometry(0, d_l + 17, ell_l, d_r + 17, ell_r))
+        base = mirror_overlap(Geometry(d_l, ell_l, d_r, ell_r))
+        shifted = mirror_overlap(Geometry(d_l + 17, ell_l, d_r + 17, ell_r))
         assert base == shifted
 
     def test_overlap_bounded_by_lengths(self):
-        g = Geometry(m0=2, d_l=3, ell_l=4, d_r=5, ell_r=20)
+        g = Geometry(d_l=5, ell_l=4, d_r=7, ell_r=20)
         ell_mirror, dl_l, dl_r = mirror_overlap(g)
         assert 0 <= ell_mirror <= min(g.ell_l, g.ell_r)
         assert dl_l >= 0 and dl_r >= 0
 
     def test_rejects_zero_length(self):
         with pytest.raises(DomainError):
-            Geometry(m0=0, d_l=1, ell_l=0, d_r=1, ell_r=5)
+            Geometry(d_l=1, ell_l=0, d_r=1, ell_r=5)
 
     def test_outermost_site_must_fit_int64(self):
         top = np.iinfo(np.int64).max
-        assert Geometry(m0=1, d_l=top - 3, ell_l=2, d_r=0, ell_r=1).left_sites()[0] == -top
-        for d_l, d_r in ((top - 2, 0), (0, top - 2)):
+        assert Geometry(d_l=top - 2, ell_l=2, d_r=1, ell_r=1).left_sites()[0] == -top
+        for d_l, d_r in ((top - 1, 1), (1, top - 1)):
             with pytest.raises(DomainError, match="64-bit"):
-                Geometry(m0=1, d_l=d_l, ell_l=2, d_r=d_r, ell_r=2)
+                Geometry(d_l=d_l, ell_l=2, d_r=d_r, ell_r=2)
 
-    def test_site_maps_exclude_impurity(self):
-        g = Geometry(m0=3, d_l=0, ell_l=4, d_r=0, ell_r=4)
-        assert np.all(np.abs(g.left_sites()) > g.m0)
-        assert np.all(np.abs(g.right_sites()) > g.m0)
+    def test_no_site_is_the_impurity(self):
+        g = Geometry(d_l=0, ell_l=4, d_r=0, ell_r=4)
+        assert 0 not in g.left_sites() and 0 not in g.right_sites()
+        assert list(g.left_sites()) == [-4, -3, -2, -1]
+        assert list(g.right_sites()) == [1, 2, 3, 4]
+        g = Geometry(d_l=3, ell_l=4, d_r=3, ell_r=4)
         assert list(g.left_sites()) == [-7, -6, -5, -4]
         assert list(g.right_sites()) == [4, 5, 6, 7]

@@ -57,7 +57,7 @@ def test_sweep_rows_are_finite_or_typed(index, mode):
     bias = _bias(kind, rng)
     d_l, d_r = (int(d) for d in rng.integers(0, 4, size=2))
     lengths = np.sort(rng.choice(np.arange(2, MAX_ELL[mode] + 1), 2, replace=False))
-    cfg = ExperimentConfig(model=model, bias=bias, geometry=Geometry(0, d_l, 4, d_r, 4),
+    cfg = ExperimentConfig(model=model, bias=bias, geometry=Geometry(d_l, 4, d_r, 4),
                            scan_variable="length", scan_values=tuple(lengths.tolist()),
                            measures=("S_n", "MI_n", "MI", "E_n", "E"), n_values=(2, 4),
                            mode=mode)
