@@ -116,11 +116,32 @@ def q_tilde_n(t: float, r: float, n: float) -> float:
         den = (t + r * x) ** n + (r + t * x) ** n
         t1 = np.log1p(_rise(1.0, t * x, n) + (r * x) ** n)
         t2 = np.log1p(_rise(1.0, r * x, n) + (t * x) ** n)
-        t3 = np.log1p((_rise(t + r * x, t * x, n) - _rise(r, t * x, n)) / den)
-        t4 = np.log1p((_rise(r + t * x, r * x, n) - _rise(t, r * x, n)) / den)
+        t3 = _log_jump((_rise(t + r * x, t * x, n) - _rise(r, t * x, n)) / den,
+                       x, t, r, n)
+        t4 = _log_jump((_rise(r + t * x, r * x, n) - _rise(t, r * x, n)) / den,
+                       x, r, t, n)
         return (t1 + t2 + t3 + t4) / (2.0 * np.pi ** 2 * x)
 
     return -n / 12.0 + _unit_integral(f)
+
+
+def _log_jump(rise: np.ndarray, x: np.ndarray, v: float, w: float,
+              n: float) -> np.ndarray:
+    """ln[((x + v)^n + w^n) / ((w + v x)^n + (v + w x)^n)] from its ``rise`` above 1.
+
+    ln(1 + rise) wherever rise >= -1/2.  Below that the rise cancels toward
+    -1 at large n (exactly -1 by n = 300 at T = 0.79), so the logarithm
+    is taken of each power sum instead: ln(a^n + b^n) = logaddexp(n ln a,
+    n ln b), with ln 0 = -inf for a zero T or R.
+    """
+    out = np.log1p(np.maximum(rise, -0.5))
+    low = rise < -0.5
+    if low.any():
+        xl = x[low]
+        n_ln_w = n * math.log(w) if w > 0.0 else -np.inf
+        out[low] = (np.logaddexp(n * np.log(xl + v), n_ln_w)
+                    - np.logaddexp(n * np.log(w + v * xl), n * np.log(v + w * xl)))
+    return out
 
 
 @lru_cache(maxsize=1024)

@@ -28,9 +28,10 @@ upper triangle is computed once and conjugated into the lower one.
 
 Quadratures are batched by panel class.  Two integrals on the same
 interval with the same initial panel count are evaluated at the same
-nodes, so each class evaluates its nodes and amplitudes once, and each
-phase shared by several entries once; every entry then gets exactly the
-value of its own adaptive quadrature.
+nodes, so each class evaluates its nodes and amplitudes once, the
+factors shared by several entries once, and each distinct lag's phase
+e^{-iky} once, whether entries share it or own it; every entry then gets
+exactly the value of its own adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -202,6 +203,10 @@ class _SeaNodes:
     def t_abs2(self) -> np.ndarray:
         return np.abs(self.t) ** 2
 
+    def lag_phase(self, y) -> np.ndarray:
+        """x = e^{-iky} at the nodes, the one exponential of lag y."""
+        return np.exp(self.mik * y)
+
     def phase(self, x: np.ndarray) -> np.ndarray:
         """E(y) as a fresh array, from x = e^{-iky}; conj(x) is e^{+iky}."""
         return np.copy(x) if self.left else np.conj(x)
@@ -210,21 +215,20 @@ class _SeaNodes:
         """E*(y), from x = e^{-iky}; it multiplies only fresh or real factors."""
         return np.conj(x) if self.left else x
 
-    def shared(self, form: int, y) -> tuple:
+    def shared(self, form: int, x: np.ndarray | None) -> tuple:
         """The factors common to every entry of ``form`` with shared lag y.
 
-        y is S on the same side and D across; it sets the frequency.
+        y is S on the same side and D across, and x its phase (none for
+        ``_FAR``, whose entries share no factor).
         """
         if form == _FAR:
             return ()
-        x = np.exp(self.mik * y)
         if form == _NEAR:
             return self.r * self.phase(x), np.conj(self.r) * self.phase_conj(x)
         return (self.phase(x),)
 
-    def entry(self, form: int, shared: tuple, y) -> np.ndarray:
-        """One entry's integrand at the nodes; y is its own lag (D or S)."""
-        x = np.exp(self.mik * y)
+    def entry(self, form: int, shared: tuple, x: np.ndarray) -> np.ndarray:
+        """One entry's integrand at the nodes; x is its own lag's phase (D or S)."""
         if form == _NEAR:
             r_e, r_conj_e = shared
             return (self.phase(x) + self.r_abs2 * self.phase_conj(x)
@@ -236,6 +240,11 @@ class _SeaNodes:
             return np.conj(self.t) * (e + self.r * self.phase(x)) / _TWO_PI
         return self.t * (e + np.conj(self.r) * self.phase_conj(x)) / _TWO_PI
 
+    def integrand(self, form: int, y_shared, y_own) -> np.ndarray:
+        """One entry's integrand from its two lags, each phase evaluated here."""
+        x = None if form == _FAR else self.lag_phase(y_shared)
+        return self.entry(form, self.shared(form, x), self.lag_phase(y_own))
+
 
 def _full_sea(model: ImpurityModel, kf: float, left: bool,
               j: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -243,7 +252,8 @@ def _full_sea(model: ImpurityModel, kf: float, left: bool,
 
     Entries with the same initial panel count share the nodes and the
     amplitudes; entries that also share their form and lag (S on the same
-    side, D across) share its phase.
+    side, D across) share its factors, and every lag's phase is evaluated
+    once per class.
     """
     out = np.zeros(j.shape, dtype=complex)
     if kf == 0.0:
@@ -256,25 +266,43 @@ def _full_sea(model: ImpurityModel, kf: float, left: bool,
     # |shared| = |j| + |m| = max(|D|, |S|) is the entry's frequency
     n0 = InitialPanels.count(kf, np.abs(shared))
     classes: dict = {}
-    for i, (n, key) in enumerate(zip(n0.tolist(), zip(form.tolist(), shared.tolist()))):
-        classes.setdefault(n, {}).setdefault(key, []).append(i)
-    for n, groups in classes.items():
-        _full_sea_class(model, kf, left, n, groups, own, out)
+    for i, (n, kind, y, y_own) in enumerate(zip(n0.tolist(), form.tolist(),
+                                               shared.tolist(), own.tolist())):
+        classes.setdefault(n, {}).setdefault(y_own, []).append((i, kind, y))
+    for n, lags in classes.items():
+        _full_sea_class(model, kf, left, n, lags, out)
     return out
 
 
-def _full_sea_class(model, kf, left, n0, groups, own, out):
-    """Fill ``out[i]`` for the entries of one class; its arrays die on return."""
+def _full_sea_class(model, kf, left, n0, lags, out):
+    """Fill ``out[i]`` for the entries of one class; its arrays die on return.
+
+    ``lags`` maps each own lag to its entries ``(i, form, shared lag)``.
+    The shared lags' phases come first: each forms its groups' shared
+    factors, which the class keeps, and is dropped unless it is also an
+    own lag.  The walk then holds one own lag's phase at a time, so each
+    distinct lag's exponential is evaluated once per class.
+    """
     panels = InitialPanels(0.0, kf, n0, tol=FULL_TOL)
     sea = _SeaNodes(model, left, panels.nodes)
-    for (form, y), members in groups.items():
-        shared = sea.shared(form, y)
-        for i in members:
-            def f(k, form=form, y=y, y_own=own[i]):
-                nodes = _SeaNodes(model, left, k)
-                return nodes.entry(form, nodes.shared(form, y), y_own)
+    forms_at: dict = {}
+    for members in lags.values():
+        for _, form, y in members:
+            forms_at.setdefault(y, set()).add(form)
+    shared, held = {}, {}
+    for y, forms in forms_at.items():
+        x = None if forms == {_FAR} else sea.lag_phase(y)
+        for form in forms:
+            shared[form, y] = sea.shared(form, x)
+        if x is not None and y in lags:
+            held[y] = x
+    for y_own, members in lags.items():
+        x = held.pop(y_own) if y_own in held else sea.lag_phase(y_own)
+        for i, form, y in members:
+            def f(k, form=form, y=y, y_own=y_own):
+                return _SeaNodes(model, left, k).integrand(form, y, y_own)
 
-            out[i] = panels.integrate(f, sea.entry(form, shared, own[i]))
+            out[i] = panels.integrate(f, sea.entry(form, shared[form, y], x))
 
 
 def corr_entry_full(model: ImpurityModel, bias: BiasConfig, j, m):

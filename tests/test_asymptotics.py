@@ -100,6 +100,22 @@ class TestSpecialFunctions:
         t, r = float(model.transmission(0.3)), float(model.reflection(0.3))
         assert abs(q_tilde_n(t, r, n) - q_tilde_n_mp(t, r, n)) <= 1e-12
 
+    @pytest.mark.parametrize("case, n", [
+        ("model", 133.0), ("model", 140.0), ("model", 300.0),
+        ("T=0.1", 226.0), ("T=0.9", 226.0)])
+    def test_q_tilde_n_at_large_index_against_mpmath(self, case, n):
+        # a jump term's rise cancels toward -1 here (exactly -1 at n = 300
+        # for the model's T = 0.7935); log1p of it stopped the quadrature
+        # from n = 133 and divided by zero at n = 300.  Within 1e-12 of
+        # 30 digits, under the suite's RuntimeWarning-as-error filter.
+        if case == "model":
+            model, kf = SingleSite(eps0=1.0), np.pi / 2 + 0.2
+            t, r = float(model.transmission(kf)), float(model.reflection(kf))
+        else:
+            t = float(case[2:])
+            r = 1.0 - t
+        assert abs(q_tilde_n(t, r, n) - q_tilde_n_mp(t, r, n)) <= 1e-12
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             q_n(1.2, 2.0)

@@ -1,7 +1,7 @@
 """Class-batched correlation builds against the entry-by-entry oracles, bit for bit.
 
-The builds evaluate the quadrature nodes, the amplitudes and the shared
-phases once per panel class; ``tests/oracles.py`` keeps the scalar
+The builds evaluate the quadrature nodes, the amplitudes and each
+distinct phase once per panel class; ``tests/oracles.py`` keeps the scalar
 quadrature per entry (full mode) or per window frequency (long range).
 The scan reference rows pin every bit of C_A, so the comparison is exact.
 """
@@ -141,6 +141,52 @@ def test_full_mode_scan_integrates_each_site_pair_once(monkeypatch):
     assert pairs == [78, 132, 196]
 
 
+def _distinct_phases(model, bias, geometries) -> int:
+    """Distinct (build, sea, n0, lag) of the full builds sharing one cache.
+
+    Each integrated entry's sea term needs e^{-iky} at its own lag (D on
+    the same side, S across) and, unless the pair lies on the other side,
+    at its shared lag (S, D), on the nodes of its class n0.
+    """
+    phases, held = set(), set()
+    for b, g in enumerate(geometries):
+        sites = np.concatenate([g.left_sites(), g.right_sites()]).tolist()
+        for a, j in enumerate(sites):
+            for m in sites[a:]:
+                if j in held and m in held:
+                    continue
+                for left, kf in ((True, bias.kf_l), (False, bias.kf_r)):
+                    same = (j < 0) == (m < 0)
+                    shared, own = (j + m, j - m) if same else (j - m, j + m)
+                    n0 = int(InitialPanels.count(kf, abs(shared)))
+                    phases.add((b, left, n0, own))
+                    if not (same and (j < 0) != left):
+                        phases.add((b, left, n0, shared))
+        held = set(sites)
+    return len(phases)
+
+
+def test_full_mode_scan_evaluates_each_phase_once_per_class(monkeypatch):
+    # the full_mode workload's builds: same-side NEAR and FAR entries and
+    # the cross entries of one class share their lags, so 976 entry and
+    # group exponentials reduce to 515 distinct phases
+    model, bias = SingleSite(eps0=1.0), BIASES["kf_l>kf_r"]
+    geometries = [Geometry(d_l=20, ell_l=ell, d_r=20, ell_r=ell) for ell in (6, 10, 14)]
+    calls = 0
+    exp = np.exp
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    cache: dict = {}
+    for g in geometries:
+        build_corr_matrix(model, bias, g, "A", "full", cache)
+    assert calls == _distinct_phases(model, bias, geometries) == 515
+
+
 def test_failed_full_build_leaves_the_cache_unchanged(monkeypatch):
     model, bias = SingleSite(eps0=1.0), BIASES["kf_l>kf_r"]
     cache: dict = {}
@@ -176,9 +222,12 @@ def test_window_list_resolves_like_one_call_per_frequency():
 ELIDED = 16384
 
 
-def test_full_build_above_elision_size_equals_oracle():
+@pytest.mark.parametrize("g", [
+    Geometry(d_l=199, ell_l=7, d_r=199, ell_r=5),   # sites -206..-200, 200..204
+    Geometry(d_l=199, ell_l=7, d_r=199, ell_r=7),   # NEAR and FAR lags coincide
+], ids=["ell_r=5", "ell_r=7"])
+def test_full_build_above_elision_size_equals_oracle(g):
     model, bias = SingleSite(eps0=1.0), BIASES["kf_l>kf_r"]
-    g = Geometry(d_l=199, ell_l=7, d_r=199, ell_r=5)   # sites -206..-200, 200..204
     assert 48 * int(InitialPanels.count(bias.kf_r, 400)) > ELIDED
     got = build_corr_matrix(model, bias, g, "A", "full").mat
     assert got.tobytes() == oracles.build_corr_matrix(model, bias, g, "full").tobytes()
