@@ -49,6 +49,9 @@ from .model import PROBABILITY_TOL, BiasConfig, Geometry, ImpurityModel, mirror_
 from .quadrature import adaptive_gauss_legendre
 
 Q_TOL = 1e-10
+# q_n and q_tilde_n are checked against 30-digit mpmath up to this index;
+# from n = 648 (at p = 1/2) q_n's power ratio overflows a double
+Q_INDEX_MAX = 640
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:

@@ -51,11 +51,9 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    cfg = _read_config(args.config)
-    out = args.out or cfg.output_csv
-    _check_writable(out)
-    rows = harness.run_scan(cfg)
-    _write(harness.rows_to_csv([r for r in rows if r.error is None]), out)
+    _check_writable(args.out)
+    rows = harness.run_scan(_read_config(args.config))
+    _write(harness.rows_to_csv([r for r in rows if r.error is None]), args.out)
     summary = harness.scan_summary(rows)
     # ru_maxrss is in KiB on Linux: the process's peak resident set so far
     summary["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -76,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="run a parameter scan, emit CSV")
     p.add_argument("config")
-    p.add_argument("--out", default=None, help="override output.csv from config")
+    p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p.set_defaults(func=_cmd_scan)
     return parser
 

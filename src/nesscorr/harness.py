@@ -88,7 +88,7 @@ MEASURES = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One scan: model, bias, geometry template, grid, measures, outputs."""
+    """One scan: model, bias, geometry template, grid, measures."""
 
     model: ImpurityModel
     bias: BiasConfig
@@ -99,16 +99,14 @@ class ExperimentConfig:
     n_values: tuple[int, ...] = (2,)
     mode: str = "longrange"
     ell_r_ratio: int = 1                  # length scans: ell_r = ratio * ell
-    offset_ratio: float = 0.0             # length scans: d_l - d_r = ratio * ell
-    output_csv: str | None = None
 
     def __post_init__(self):
         if self.scan_variable not in ("length", "offset"):
             raise ConfigError(f"scan variable {self.scan_variable!r} unknown")
-        if self.scan_variable == "offset" and (self.ell_r_ratio, self.offset_ratio) != (1, 0):
+        if self.scan_variable == "offset" and self.ell_r_ratio != 1:
             raise ConfigError(
-                f"scan.ell_r_ratio = {self.ell_r_ratio}, scan.offset_ratio = "
-                f"{self.offset_ratio}: an offset scan reads neither; only length scans do")
+                f"scan.ell_r_ratio = {self.ell_r_ratio}: an offset scan does not "
+                "read it; only length scans do")
         if len(self.scan_values) == 0:
             raise ConfigError("scan grid must be nonempty")
         if any(b <= a for a, b in zip(self.scan_values, self.scan_values[1:])):
@@ -128,22 +126,27 @@ class ExperimentConfig:
                                   f"measure {m} needs integer Renyi indices >= 2")
             if MEASURES[m].indices == "even" and any(n % 2 for n in self.n_values):
                 raise ConfigError(f"measure {m} needs even Renyi indices")
+            # E_n's closed form takes the Q functions at n / 2, the others at n
+            top = asymptotics.Q_INDEX_MAX * (2 if MEASURES[m].indices == "even" else 1)
+            if MEASURES[m].indices and any(n > top for n in self.n_values):
+                raise ConfigError(
+                    f"n_values = {','.join(map(str, self.n_values))}: measure {m} "
+                    f"needs Renyi indices <= {top}, where its closed form is checked")
         negativities = [m for m in self.measures if m in ("E", "E_n")]
-        if negativities and (self.scan_variable == "offset" or self.ell_r_ratio != 1
-                             or self.offset_ratio != 0):
+        if negativities and (self.scan_variable == "offset" or self.ell_r_ratio != 1):
             raise ConfigError(
                 f"{', '.join(negativities)}: the negativity closed forms hold only in "
                 "the symmetric limit ell_l = ell_r, d_l = d_r; use a length scan with "
-                "scan.ell_r_ratio = 1 and scan.offset_ratio = 0")
+                "scan.ell_r_ratio = 1")
         if self.mode not in ("longrange", "full"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         for value in self.scan_values:
             try:
                 geometry_at(self, value)
-            except (DomainError, OverflowError) as exc:
+            except DomainError as exc:
                 raise ConfigError(
-                    f"scan.values point {value}, scan.ell_r_ratio = {self.ell_r_ratio}, "
-                    f"scan.offset_ratio = {self.offset_ratio!r}: {exc}") from exc
+                    f"scan.values point {value}, scan.ell_r_ratio = {self.ell_r_ratio}: "
+                    f"{exc}") from exc
 
 
 @dataclass
@@ -168,10 +171,7 @@ class ScanRow:
 def geometry_at(cfg: ExperimentConfig, value: int) -> Geometry:
     g = cfg.geometry
     if cfg.scan_variable == "length":
-        offset = int(round(cfg.offset_ratio * value))
-        return replace(g, ell_l=int(value), ell_r=int(cfg.ell_r_ratio * value),
-                       d_l=g.d_r + offset if offset >= 0 else g.d_r,
-                       d_r=g.d_r if offset >= 0 else g.d_r - offset)
+        return replace(g, ell_l=int(value), ell_r=int(cfg.ell_r_ratio * value), d_l=g.d_r)
     return replace(g, d_l=g.d_r + int(value) if value >= 0 else g.d_r,
                    d_r=g.d_r if value >= 0 else g.d_r - int(value))
 
@@ -448,8 +448,8 @@ CONFIG_KEYS = frozenset("""
     model.kind model.eps0 model.eta model.transmission
     bias.kf_l bias.kf_r
     geometry.m0 geometry.d_l geometry.ell_l geometry.d_r geometry.ell_r
-    scan.variable scan.values scan.ell_r_ratio scan.offset_ratio
-    measures n_values mode output.csv""".split())
+    scan.variable scan.values scan.ell_r_ratio
+    measures n_values mode""".split())
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -473,15 +473,13 @@ def parse_config(text: str) -> ExperimentConfig:
       geometry.m0           adds to geometry.d_l and geometry.d_r (>= 0) [0]
       scan.variable         length | offset
       scan.values           comma list, or start:stop[:step]
-      scan.ell_r_ratio      length scans: ell_r = ratio * ell [1]
-      scan.offset_ratio     length scans: d_l - d_r = ratio * ell [0]; an
-                            offset scan rejects either ratio off its default
+      scan.ell_r_ratio      length scans: ell_r = ratio * ell [1]; an offset
+                            scan rejects any other value
       measures              comma subset of S_n, MI_n, MI, E_n, E (E, E_n only
-                            on length scans at ratio 1 and offset ratio 0)
+                            on length scans at ratio 1)
       n_values              comma list of integer Renyi indices >= 2 (even
-                            for E_n) [2]
+                            for E_n), at most 640 (1280 for E_n) [2]
       mode                  longrange | full [longrange]
-      output.csv            path for the scan CSV [none]
 
     A scan fits each series' constant over the upper half of its grid.
     """
@@ -552,9 +550,7 @@ def parse_config(text: str) -> ExperimentConfig:
         measures=tuple(m.strip() for m in need("measures").split(",")),
         n_values=value("n_values", lambda v: tuple(int(x) for x in v.split(",")), "2"),
         mode=kv.get("mode", "longrange"),
-        ell_r_ratio=value("scan.ell_r_ratio", int, "1"),
-        offset_ratio=value("scan.offset_ratio", float, "0"),
-        output_csv=kv.get("output.csv"))
+        ell_r_ratio=value("scan.ell_r_ratio", int, "1"))
 
 
 def measure_point(cfg: ExperimentConfig) -> dict:

@@ -121,9 +121,8 @@ class InitialPanels:
         return self.sign * total
 
 
-def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-10,
-                            frequency: float = 0.0):
-    """Integrate ``f`` over the oriented interval [a, b].
+def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-10):
+    """Integrate ``f`` over the oriented interval [a, b], from one panel.
 
     Parameters
     ----------
@@ -135,12 +134,11 @@ def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-10,
         Integration limits.  ``b < a`` yields the negated integral.
     tol : float
         Absolute tolerance for the whole interval.
-    frequency : float
-        Dominant oscillation rate of the integrand (rad per unit k).  Used
-        only to size the initial panels.
+
+    An oscillatory integrand should size its first level with
+    :meth:`InitialPanels.count` instead.
     """
     if a == b:
         return 0.0
-    n0 = int(InitialPanels.count(abs(b - a), frequency))
-    panels = InitialPanels(a, b, n0, tol)
+    panels = InitialPanels(a, b, 1, tol)
     return panels.integrate(f, f(panels.nodes))

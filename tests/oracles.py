@@ -22,7 +22,8 @@ through numpy; scipy is a test dependency only.
 ``corr_entry_full``, ``window_integral`` and ``build_corr_matrix`` are the
 entry-by-entry correlation builds the class-batched production builds of
 ``nesscorr.correlation`` replaced: one scalar adaptive quadrature per
-entry and sea, or per window frequency.  The batched builds must give
+entry and sea, or per window frequency (``gauss_legendre``, its first
+level sized for the phase).  The batched builds must give
 their matrices bit for bit.  ``toeplitz_gather`` and
 ``hermitian_fill_triu`` are the fills with n x n temporaries (an int64
 index array; a copied triangle) that ``nesscorr.densela.toeplitz`` and
@@ -60,7 +61,7 @@ from nesscorr.densela import as_matrix
 from nesscorr.errors import BranchError, DomainError, ScopeError
 from nesscorr.fisher_hartwig import TWO_PI, _arc_fourier, gamma_range
 from nesscorr.model import BiasConfig, ConstantS, ImpurityModel
-from nesscorr.quadrature import adaptive_gauss_legendre
+from nesscorr.quadrature import InitialPanels
 
 
 def tanh_sinh(f, a: float, b: float, tol: float = 1e-12,
@@ -185,7 +186,8 @@ def q_n_mp(p: float, n: float, dps: int = 30) -> float:
             return (mpmath.log((1 + p * x) ** n + (c * x) ** n)
                     + mpmath.log(((x + p) ** n + c ** n) / norm)) / (2 * mpmath.pi ** 2 * x)
 
-        return float(-n / 12 + _unit_integral_mp(f))
+        # (x + p)^n meets (1 - p)^n at x = 1 - 2p
+        return float(-n / 12 + _unit_integral_mp(f, kinks=(1 - 2 * p,)))
 
 
 def q_tilde_n_mp(t: float, r: float, n: float, dps: int = 30) -> float:
@@ -280,6 +282,18 @@ def lu_factor_logdet(m: np.ndarray) -> tuple[complex | None, int | None]:
     return complex(float(np.sum(np.log(np.abs(diag)))), phase), None
 
 
+def gauss_legendre(f, a: float, b: float, tol: float, frequency: float):
+    """The production rule on [a, b], its first level sized for ``frequency``.
+
+    One scalar quadrature from ``InitialPanels.count`` panels, as the
+    class-batched builds size each entry's or window's first level.
+    """
+    if a == b:
+        return 0.0
+    panels = InitialPanels(a, b, int(InitialPanels.count(abs(b - a), frequency)), tol)
+    return panels.integrate(f, f(panels.nodes))
+
+
 def window_integral(model, bias, kind: str, freq) -> complex:
     """int_{kf_r}^{kf_l} w(k) e^{i freq k} dk/2pi by one scalar quadrature."""
     weight = _WEIGHTS[kind]
@@ -288,8 +302,7 @@ def window_integral(model, bias, kind: str, freq) -> complex:
         return (weight(*model.amplitudes(k))
                 * np.exp(1j * freq * k) / (2.0 * np.pi))
 
-    return adaptive_gauss_legendre(f, bias.kf_r, bias.kf_l, tol=ENTRY_TOL,
-                                   frequency=abs(freq))
+    return gauss_legendre(f, bias.kf_r, bias.kf_l, tol=ENTRY_TOL, frequency=abs(freq))
 
 
 class WindowIntegrals:
@@ -333,12 +346,12 @@ def corr_entry_full(model, bias, j: int, m: int) -> complex:
     def left_sea(f):
         if kf_l == 0.0:
             return 0.0
-        return adaptive_gauss_legendre(f, 0.0, kf_l, tol=FULL_TOL, frequency=freq)
+        return gauss_legendre(f, 0.0, kf_l, tol=FULL_TOL, frequency=freq)
 
     def right_sea(f):
         if kf_r == 0.0:
             return 0.0
-        return adaptive_gauss_legendre(f, 0.0, kf_r, tol=FULL_TOL, frequency=freq)
+        return gauss_legendre(f, 0.0, kf_r, tol=FULL_TOL, frequency=freq)
 
     two_pi = 2.0 * np.pi
     if j < 0 and m < 0:

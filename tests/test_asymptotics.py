@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nesscorr.asymptotics import (
+    Q_INDEX_MAX,
     AsymptoticPrediction,
     _four_point_ratios,
     edge_differences,
@@ -115,6 +116,15 @@ class TestSpecialFunctions:
             t = float(case[2:])
             r = 1.0 - t
         assert abs(q_tilde_n(t, r, n) - q_tilde_n_mp(t, r, n)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [0.001, 0.1, 0.3, 0.5, 0.7935, 0.9, 0.999])
+    def test_q_functions_at_the_largest_configurable_index(self, t):
+        # ExperimentConfig caps every Q index at Q_INDEX_MAX; q_n overflows from
+        # n = 648 at T = 1/2.  Within 2.2e-14 of 30 digits here, under the
+        # suite's RuntimeWarning-as-error filter.
+        n = float(Q_INDEX_MAX)
+        assert abs(q_n(t, n) - q_n_mp(t, n)) <= 1e-13
+        assert abs(q_tilde_n(t, 1.0 - t, n) - q_tilde_n_mp(t, 1.0 - t, n)) <= 1e-13
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -71,7 +71,6 @@ scan.variable = length
 scan.values = 8,16,32
 measures = MI,MI_n
 n_values = 2
-output.csv = out.csv
 """
 
 
@@ -133,11 +132,10 @@ class TestGeometryTemplates:
         g = geometry_at(small_config(), 16)
         assert (g.ell_l, g.ell_r, g.d_l, g.d_r) == (16, 16, 0, 0)
 
-    def test_length_scan_with_ratio_and_offset(self):
-        cfg = small_config(ell_r_ratio=2, offset_ratio=0.5)
+    def test_length_scan_with_ratio(self):
+        cfg = small_config(ell_r_ratio=2, geometry=Geometry(0, 5, 3, 5))
         g = geometry_at(cfg, 32)
-        assert (g.ell_l, g.ell_r) == (32, 64)
-        assert g.d_l - g.d_r == 16
+        assert (g.ell_l, g.ell_r, g.d_l, g.d_r) == (32, 64, 3, 3)
 
     def test_offset_scan_both_signs(self):
         cfg = small_config(scan_variable="offset", scan_values=(-7, 0, 7),
@@ -181,7 +179,7 @@ class TestRunScan:
     @pytest.mark.parametrize("geometry", [
         dict(scan_variable="offset", scan_values=(-7, 0, 7),
              geometry=Geometry(20, 40, 20, 60)),
-        dict(ell_r_ratio=2), dict(offset_ratio=0.5)])
+        dict(ell_r_ratio=2)])
     @pytest.mark.parametrize("measures", [("MI", "E"), ("E_n",)])
     def test_asymmetric_negativity_is_a_config_error(self, geometry, measures):
         # the closed forms exist only in the symmetric limit
@@ -459,7 +457,6 @@ class TestConfigParsing:
         cfg = parse_config(CONFIG_TEXT)
         assert cfg.scan_values == (8, 16, 32)
         assert cfg.measures == ("MI", "MI_n")
-        assert cfg.output_csv == "out.csv"
         assert cfg.bias.delta_k == pytest.approx(0.2)
 
     def test_range_syntax(self):
@@ -496,15 +493,32 @@ class TestConfigParsing:
             small_config(measures=(measure,), n_values=(2, n))
         assert small_config(measures=(measure,), n_values=(2.0, 3)).n_values == (2.0, 3)
 
-    @pytest.mark.parametrize("line", ["scan.ell_r_ratio = 3", "scan.offset_ratio = 0.5"])
+    @pytest.mark.parametrize("measure, top", [("S_n", 640), ("MI_n", 640), ("E_n", 1280)])
+    def test_renyi_index_past_the_checked_q_range_rejected(self, measure, top):
+        # E_n takes the Q functions at n / 2, the others at n; past the cap a
+        # scan would rerun a failing quadrature at every grid point
+        assert small_config(measures=(measure,), n_values=(2, top)).n_values == (2, top)
+        with pytest.raises(ConfigError, match=f"^n_values = 2,{top + 2}: measure {measure} "
+                           f"needs Renyi indices <= {top}"):
+            small_config(measures=(measure,), n_values=(2, top + 2))
+        # MI and E take no index, so they do not read n_values
+        assert small_config(measures=("MI", "E"), n_values=(5000,)).n_values == (5000,)
+
+    @pytest.mark.parametrize("line", ["scan.offset_ratio = 0.5", "output.csv = x.csv"])
+    def test_removed_setting_is_an_unknown_key(self, line):
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=f"^unknown configuration keys: {re.escape(key)}$"):
+            parse_config(CONFIG_TEXT + line + "\n")
+
+    @pytest.mark.parametrize("line", ["scan.ell_r_ratio = 3"])
     def test_offset_scan_rejects_length_scan_ratios(self, line, tmp_path, capsys):
         with open(os.path.join(ROOT, "configs", "offset_scan.cfg")) as fh:
             text = fh.read() + line + "\n"
         with pytest.raises(ConfigError, match=re.escape(line)):
             parse_config(text)
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text(text.replace("offset_scan.csv", str(tmp_path / "out.csv")))
-        assert main(["scan", str(cfg_file)]) == 1
+        cfg_file.write_text(text)
+        assert main(["scan", str(cfg_file), "--out", str(tmp_path / "out.csv")]) == 1
         assert line in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
@@ -588,9 +602,8 @@ class TestConfigParsing:
                            "reads only "):
             parse_config(text)
         cfg_file = tmp_path / "stray.cfg"
-        cfg_file.write_text(text.replace("symmetric_length_scan.csv",
-                                         str(tmp_path / "out.csv")))
-        assert main(["scan", str(cfg_file)]) == 1
+        cfg_file.write_text(text)
+        assert main(["scan", str(cfg_file), "--out", str(tmp_path / "out.csv")]) == 1
         assert line in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
@@ -644,12 +657,9 @@ measures = MI,MI_n,E
         ("single_site", "geometry.d_r = -3"), ("single_site", "geometry.m0 = -1"),
         ("single_site", "bias.kf_l = 4.0"),
         ("single_site", "model.eta = -1"), ("single_site", "model.eps0 = nan"),
-        ("single_site", "model.eta = inf"), ("single_site", "scan.offset_ratio = nan"),
-        ("single_site", "scan.offset_ratio = inf"), ("constant_s", "bias.kf_r = -inf"),
+        ("single_site", "model.eta = inf"), ("constant_s", "bias.kf_r = -inf"),
         ("constant_s", "n_values = 1"), ("constant_s", "n_values = 0"),
-        # the offset places sites beyond int64, or overflows to an infinite offset
-        ("constant_s", "scan.offset_ratio = 1e+18"),
-        ("constant_s", "scan.offset_ratio = 1e+308")])
+        ("constant_s", "n_values = 642")])
     def test_invalid_value_is_a_config_error_naming_its_key(self, kind, line, tmp_path,
                                                              capsys):
         key = line.split(" =")[0]
@@ -773,9 +783,8 @@ class TestCli:
     def test_scan_roundtrip(self, tmp_path, capsys):
         cfg_file = tmp_path / "scan.cfg"
         out_file = tmp_path / "rows.csv"
-        cfg_file.write_text(CONFIG_TEXT.replace(
-            "output.csv = out.csv", f"output.csv = {out_file}"))
-        code = main(["scan", str(cfg_file)])
+        cfg_file.write_text(CONFIG_TEXT)
+        code = main(["scan", str(cfg_file), "--out", str(out_file)])
         captured = capsys.readouterr()
         assert code == 0
         lines = out_file.read_text().splitlines()
@@ -823,9 +832,8 @@ class TestCli:
             "geometry.d_r = 0", "geometry.d_r = 20\ngeometry.ell_l = 40\n"
             "geometry.ell_r = 60").replace(
             "scan.variable = length\nscan.values = 8,16,32",
-            "scan.variable = offset\nscan.values = -4,0,4").replace(
-            "output.csv = out.csv", f"output.csv = {tmp_path / 'offset.csv'}"))
-        assert main(["scan", str(cfg_file)]) == 1
+            "scan.variable = offset\nscan.values = -4,0,4"))
+        assert main(["scan", str(cfg_file), "--out", str(tmp_path / "offset.csv")]) == 1
         assert not (tmp_path / "offset.csv").exists()
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
@@ -835,16 +843,13 @@ class TestCli:
         cfg_file.write_text(CONFIG_TEXT.replace(
             "bias.kf_l = 1.7707963267948966", "bias.kf_l = 3.0").replace(
             "geometry.d_r = 0", "geometry.d_r = 1\nmode = full").replace(
-            "scan.values = 8,16,32", "scan.values = 4").replace(
-            "output.csv = out.csv", f"output.csv = {tmp_path / 'fail.csv'}"))
-        assert main(["scan", str(cfg_file)]) == 2
+            "scan.values = 8,16,32", "scan.values = 4"))
+        assert main(["scan", str(cfg_file), "--out", str(tmp_path / "fail.csv")]) == 2
         assert "SpectrumError" in capsys.readouterr().err
 
-    # the last scan takes its output path from the config's output.csv
     @pytest.mark.parametrize("args", [
-        ["measure", "CFG", "--out", "OUT"], ["scan", "CFG", "--out", "OUT"],
-        ["scan", "CFG"]],
-        ids=["measure", "scan", "scan-output.csv"])
+        ["measure", "CFG", "--out", "OUT"], ["scan", "CFG", "--out", "OUT"]],
+        ids=["measure", "scan"])
     @pytest.mark.parametrize("parent", ["missing", "file"])
     def test_unwritable_output_is_a_config_error(self, args, parent, tmp_path, capsys,
                                                  monkeypatch):
@@ -859,8 +864,7 @@ class TestCli:
             (tmp_path / "file").write_text("")
         out = tmp_path / parent / "out.txt"
         cfg_file = tmp_path / "point.cfg"
-        cfg_file.write_text(CONFIG_TEXT.replace("scan.values = 8,16,32", "scan.values = 8")
-                            .replace("output.csv = out.csv", f"output.csv = {out}"))
+        cfg_file.write_text(CONFIG_TEXT.replace("scan.values = 8,16,32", "scan.values = 8"))
         args = [{"CFG": str(cfg_file), "OUT": str(out)}.get(a, a) for a in args]
         # main returns, so no exception escapes to a traceback
         assert main(args) == 1

@@ -32,16 +32,16 @@ def test_empty_interval():
 
 @pytest.mark.parametrize("freq", [11.0, 137.0, 1001.0])
 def test_oscillatory_complex_exponential(freq):
-    got = adaptive_gauss_legendre(lambda k: np.exp(1j * freq * k), 0.2, 1.7,
-                                  tol=1e-12, frequency=freq)
+    got = oracles.gauss_legendre(lambda k: np.exp(1j * freq * k), 0.2, 1.7,
+                                 tol=1e-12, frequency=freq)
     want = (np.exp(1j * freq * 1.7) - np.exp(1j * freq * 0.2)) / (1j * freq)
     assert got == pytest.approx(want, abs=1e-11)
 
 
 def test_oscillatory_with_smooth_weight():
     freq = 713.0
-    got = adaptive_gauss_legendre(lambda k: np.sin(k) * np.exp(1j * freq * k),
-                                  0.0, np.pi, tol=1e-12, frequency=freq)
+    got = oracles.gauss_legendre(lambda k: np.sin(k) * np.exp(1j * freq * k),
+                                 0.0, np.pi, tol=1e-12, frequency=freq)
     # int sin(k) e^{i f k} dk over [0, pi], exact
     f = freq
     want = (1.0 + np.exp(1j * np.pi * f)) / (1.0 - f ** 2)
@@ -129,11 +129,18 @@ class _Counting:
         return self.f(x)
 
 
+def _rule(f, a, b, tol=1e-10, frequency=0.0):
+    """adaptive_gauss_legendre; at a frequency, InitialPanels sized by count."""
+    if frequency:
+        return oracles.gauss_legendre(f, a, b, tol=tol, frequency=frequency)
+    return adaptive_gauss_legendre(f, a, b, tol)
+
+
 def assert_bit_exact(f, a, b, **kwargs):
     """Both rules give the same bits from the same nodes; returns the node count."""
     ref, new = _Counting(f), _Counting(f)
     want = _reference_adaptive_gl(ref, a, b, **kwargs)
-    got = adaptive_gauss_legendre(new, a, b, **kwargs)
+    got = _rule(new, a, b, **kwargs)
     assert got == want
     assert repr(got) == repr(want)
     assert new.nodes == ref.nodes
@@ -192,20 +199,20 @@ def test_bit_exact_against_stack_oracle(f, a, b, kwargs):
                          ids=[case[0] for case in REFINING])
 def test_refining_cases_bisect_many_panels(name, f, a, b, kwargs):
     counted = _Counting(f)
-    adaptive_gauss_legendre(counted, a, b, **kwargs)
+    _rule(counted, a, b, **kwargs)
     assert counted.nodes > 48 * (_initial_panels(a, b, kwargs) + 50)
 
 
-def _captured(monkeypatch, module, call):
-    """The (f, a, b, kwargs) of every scalar quadrature that ``call`` makes."""
+def _captured(monkeypatch, module, name, call):
+    """The (f, a, b, kwargs) of every call to ``module.name`` that ``call`` makes."""
     seen = []
-    real = module.adaptive_gauss_legendre
+    real = getattr(module, name)
 
     def recording(f, a, b, **kwargs):
         seen.append((f, a, b, kwargs))
         return real(f, a, b, **kwargs)
 
-    monkeypatch.setattr(module, "adaptive_gauss_legendre", recording)
+    monkeypatch.setattr(module, name, recording)
     call()
     monkeypatch.undo()
     assert seen
@@ -224,7 +231,7 @@ MODEL = SingleSite(eps0=1.0)
 @pytest.mark.parametrize("lag", [0, 1, -1, -511, 1023])
 def test_window_integral_integrands_bit_exact(monkeypatch, kind, lag):
     window = oracles.WindowIntegrals(MODEL, BIAS)
-    for f, a, b, kwargs in _captured(monkeypatch, oracles,
+    for f, a, b, kwargs in _captured(monkeypatch, oracles, "gauss_legendre",
                                      lambda: window(kind, lag)):
         assert_bit_exact(f, a, b, **kwargs)
         assert_bit_exact(f, b, a, **kwargs)
@@ -232,7 +239,7 @@ def test_window_integral_integrands_bit_exact(monkeypatch, kind, lag):
 
 @pytest.mark.parametrize("j, m", [(-3, -5), (4, 2), (3, -6), (-2, 7)])
 def test_full_mode_entry_integrands_bit_exact(monkeypatch, j, m):
-    calls = _captured(monkeypatch, oracles,
+    calls = _captured(monkeypatch, oracles, "gauss_legendre",
                       lambda: oracles.corr_entry_full(MODEL, BIAS, j, m))
     for f, a, b, kwargs in calls:
         assert_bit_exact(f, a, b, **kwargs)
@@ -240,7 +247,7 @@ def test_full_mode_entry_integrands_bit_exact(monkeypatch, j, m):
 
 @pytest.mark.parametrize("t", [0.3, 0.77])
 def test_q_fun_integrands_bit_exact(monkeypatch, t):
-    calls = _captured(monkeypatch, asymptotics,
+    calls = _captured(monkeypatch, asymptotics, "adaptive_gauss_legendre",
                       lambda: asymptotics.q_fun.__wrapped__(t, 1.0 - t))
     assert len(calls) == 2  # f1 and f2
     for f, a, b, kwargs in calls:
@@ -276,7 +283,7 @@ def test_panel_budget_boundary(name, f, a, b, kwargs, monkeypatch):
     budget = n0 + 2 * splits
     if name == "narrow_peak_phase":
         assert (n0, budget) == (26, 30)
-    for rule in (_reference_adaptive_gl, adaptive_gauss_legendre):
+    for rule in (_reference_adaptive_gl, _rule):
         monkeypatch.setattr(quadrature, "MAX_PANELS", budget)
         rule(f, a, b, **kwargs)
         monkeypatch.setattr(quadrature, "MAX_PANELS", budget - 1)
@@ -287,5 +294,5 @@ def test_panel_budget_boundary(name, f, a, b, kwargs, monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_PANELS", n0 - 1)
     unused = _Counting(f)
     with pytest.raises(ConvergenceError):
-        adaptive_gauss_legendre(unused, a, b, **kwargs)
+        _rule(unused, a, b, **kwargs)
     assert unused.nodes == 0
